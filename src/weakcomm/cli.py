@@ -3,7 +3,9 @@
 Every command reads a presentation (inline via -p or from a file), runs one
 pipeline, prints a human summary to stdout, and can write a versioned JSON
 report.  Exit codes: 0 all asserted checks pass; 1 a mathematical assertion
-failed (witness in the report); 2 budget or guard exhausted; 3 usage error.
+failed (witness in the report); 2 budget or guard exhausted; 3 usage error,
+including a file that cannot be read or written and a config value of the
+wrong type.
 Reports embed the configuration and are byte-identical for identical runs.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import sidki, zqmodules
 from .decision import (WPSetup, ball_sizes, growth_classifier,
@@ -42,6 +44,14 @@ class RunConfig:
     json_path: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is None:
+                ok = value is None or isinstance(value, str)
+            else:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            if not ok:
+                raise ArgumentError(f"{f.name} has the wrong type: {value!r}")
         for name in ("max_cosets", "guard", "budget"):
             if getattr(self, name) <= 0:
                 raise ArgumentError(f"--{name.replace('_', '-')} must be positive")
@@ -347,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(config, attr, value)
         config.validate()
         return _COMMANDS[args.command](args, config)
-    except (ParseError, ArgumentError) as exc:
+    except (ParseError, ArgumentError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except (EnumerationOverflow, SizeGuardError) as exc:

@@ -44,7 +44,8 @@ def _inv_col(x: int) -> int:
     return x ^ 1
 
 
-# dead-row fraction before the table is renumbered mid-run
+# HLT renumbers the table mid-run once more than this many rows are dead and
+# dead rows are more than half of all rows
 COMPACT_THRESHOLD = 4096
 
 
@@ -93,7 +94,7 @@ class CosetTable:
         signed_letters(p, w)  # alphabet validation
         return self.word_image_unchecked(w)
 
-    def coset_words(self, p: Presentation) -> list[Word]:
+    def coset_words(self) -> list[Word]:
         """One representative word per coset, BFS-shortest, discovery order."""
         letters: list[tuple[GenSymbol, Perm]] = []
         for g, perm in zip(self.generators, self.action):
@@ -405,7 +406,3 @@ def perm_realization(table: CosetTable, guard: int = 100_000) -> PermGroup:
     """
     known = table.n_cosets if not table.subgroup_words else None
     return PermGroup(table.n_cosets, table.action, guard=guard, known_order=known)
-
-
-def word_image(table: CosetTable, p: Presentation, w: Word) -> Perm:
-    return table.word_image(p, w)

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 from .errors import ArgumentError, ParseError
 from .presentations import Presentation, parse_presentation
-from .words import GenSymbol, Word, commutator, format_word, parse_word, rho_word
+from .words import (GenSymbol, Word, commutator, format_word, parse_word,
+                    reduced_words, rho_word)
 
 
 @dataclass(frozen=True)
@@ -107,22 +108,6 @@ def grid_certificate(n: int) -> AreaCertificate:
 
 # -- exhaustive minimal-area search ---------------------------------------------
 
-def _reduced_words_up_to(pres: Presentation, max_len: int) -> list[Word]:
-    letters = [Word([g]) for g in pres.generators] + \
-              [Word([g.inverse()]) for g in pres.generators]
-    out = [Word()]
-    frontier = [Word()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                v = w * letter
-                if len(v) == len(w) + 1:
-                    nxt.append(v)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
 def _abelian_feasible(pres: Presentation, w: Word, max_area: int) -> bool:
     """Can signed relator multiplicities with total count <= max_area match the
     exponent sums of w?  A necessary condition for any certificate."""
@@ -159,7 +144,7 @@ def minimal_area_search(pres: Presentation, w: Word, max_area: int,
         return None
     singles: list[Word] = []
     seen: set[Word] = set()
-    for theta in _reduced_words_up_to(pres, max_radius):
+    for theta in reduced_words(pres.generators, max_radius):
         for idx, r in enumerate(pres.relators):
             for rv in (r, r.inverse()):
                 f = rv.conjugate(theta)
@@ -307,16 +292,11 @@ def _commutation_factors(lifting: CentralLifting, u: Word, v: Word
         out.extend(_commutation_factors(lifting, Word([x]), v))
         return out
     x = letters_u[0]
-    letters_v = list(v)
-    y = letters_v[-1]
+    *rest, y = v
+    # [x, v'y] = [x,y] * [x,v']^y
     out = [_letter_commutator_factor(lifting, central=y, other=x)]
-    rest = Word(letters_v[:-1])
-    if not rest.is_identity():
-        out = [(theta, idx, sign) for theta, idx, sign in
-               _commutation_factors(lifting, Word([x]), rest)]
-        tail = [( _letter_commutator_factor(lifting, central=y, other=x))]
-        # [x, v'y] = [x,y] * [x,v']^y
-        out = [tail[0]] + [(theta * Word([y]), idx, sign) for theta, idx, sign in out]
+    out.extend((theta * Word([y]), idx, sign) for theta, idx, sign in
+               _commutation_factors(lifting, Word([x]), Word(rest)))
     return out
 
 
@@ -406,10 +386,6 @@ def c_n_letters(n: int) -> tuple[GenSymbol, ...]:
     seq = [la] * n + [lb] * n \
         + [lb.inverse()] * n + [b.inverse()] * n + [la.inverse()] * n + [b] * n
     return tuple(seq)
-
-
-def c_n_word(n: int) -> tuple[GenSymbol, ...]:
-    return c_n_letters(n)
 
 
 def expand_letter_differences(letters: Sequence[GenSymbol]) -> Word:

@@ -14,12 +14,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArgumentError, ParseError
 from .intlinalg import FinAbGroup, IntMatrix, cokernel
 from .words import (GenSymbol, Word, bar_word, commutator, format_word,
-                    parse_word)
+                    parse_word, reduced_words)
+
+if TYPE_CHECKING:
+    from .enumerator import CosetTable
 
 
 @dataclass(frozen=True)
@@ -66,14 +69,8 @@ class Presentation:
         self.generators = gens
         self.relators = tuple(reduced)
 
-    def alphabet(self) -> tuple[GenSymbol, ...]:
-        return self.generators
-
     def gen_index(self) -> dict[tuple[str, bool], int]:
         return {(g.name, g.bar): i for i, g in enumerate(self.generators)}
-
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generators)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Presentation) and \
@@ -173,21 +170,16 @@ def _dedup_inverse_pairs(words: list[Word]) -> list[Word]:
     return kept
 
 
-def _length_bound_words(p: Presentation, k: int) -> list[Word]:
-    letters = [Word([g]) for g in p.generators] + \
-              [Word([g.inverse()]) for g in p.generators]
-    out: list[Word] = []
-    frontier = [Word()]
-    for _ in range(k):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                v = w * letter
-                if len(v) == len(w) + 1:
-                    nxt.append(v)
-        out.extend(nxt)
-        frontier = nxt
-    return _dedup_inverse_pairs(out)
+def element_witnesses(table: CosetTable) -> list[Word]:
+    """One witness per non-identity element g of a finite group, dropping g
+    when g^-1 is already taken, read off its regular coset table."""
+    kept, taken = [], set()
+    for c, w in enumerate(table.coset_words()):
+        if c == 0 or table.trace_word(0, w.inverse()) in taken:
+            continue
+        taken.add(c)
+        kept.append(w)
+    return kept
 
 
 def witness_words(p: Presentation, policy: WitnessPolicy,
@@ -196,36 +188,31 @@ def witness_words(p: Presentation, policy: WitnessPolicy,
     if isinstance(policy, LengthBound):
         if policy.k < 1:
             raise ArgumentError("length bound must be >= 1")
-        return _length_bound_words(p, policy.k)
+        return _dedup_inverse_pairs(reduced_words(p.generators, policy.k)[1:])
     from .enumerator import enumerate_cosets
-    table = enumerate_cosets(p, [], max_cosets=max_cosets)
-    reps = table.coset_words(p)
-    nontrivial = [w for w in reps if not w.is_identity()]
-    # deduplicate g vs g^-1 at the element level
-    word_of = {table.trace_word(0, w): w for w in nontrivial}
-    kept, taken = [], set()
-    for w in nontrivial:
-        c = table.trace_word(0, w)
-        cinv = table.trace_word(0, w.inverse())
-        if c in taken or cinv in taken:
-            continue
-        taken.add(c)
-        kept.append(word_of[c])
-    return kept
+    return element_witnesses(enumerate_cosets(p, [], max_cosets=max_cosets))
+
+
+def _require_unbarred(p: Presentation) -> None:
+    if any(g.bar for g in p.generators):
+        raise ArgumentError("presentation already contains barred generators")
+
+
+def double_presentation(p: Presentation, witnesses: Sequence[Word]) -> Presentation:
+    """Generators X u barred X, relators R u bar(R) u {[w, bar w] : w in
+    witnesses}."""
+    _require_unbarred(p)
+    gens = list(p.generators) + [GenSymbol(g.name, bar=True) for g in p.generators]
+    relators = list(p.relators) + [bar_word(r) for r in p.relators]
+    relators += [commutator(w, bar_word(w)) for w in witnesses]
+    return Presentation(gens, relators)
 
 
 def sidki_double(p: Presentation, policy: WitnessPolicy,
                  max_cosets: int = 10 ** 6) -> Presentation:
-    """Double the presentation: generators X u barred X, relators R u bar(R)
-    u {[w, bar w] : w in witness set}."""
-    if any(g.bar for g in p.generators):
-        raise ArgumentError("presentation already contains barred generators")
-    gens = list(p.generators) + [GenSymbol(g.name, bar=True) for g in p.generators]
-    relators = list(p.relators)
-    relators += [bar_word(r) for r in p.relators]
-    for w in witness_words(p, policy, max_cosets=max_cosets):
-        relators.append(commutator(w, bar_word(w)))
-    return Presentation(gens, relators)
+    """Double the presentation over the witness set of the policy."""
+    _require_unbarred(p)  # before enumerating the base
+    return double_presentation(p, witness_words(p, policy, max_cosets=max_cosets))
 
 
 # -- abelian invariants and products ------------------------------------------

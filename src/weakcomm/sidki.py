@@ -23,8 +23,9 @@ from .errors import ArgumentError, CheckFailure
 from .intlinalg import FinAbGroup
 from .permgroups import (GroupHom, Perm, PermGroup, block_perm, commutator,
                          quotient_realization)
-from .presentations import AllElements, Presentation, abelianization, sidki_double
-from .words import Word, bar_word, pi_word
+from .presentations import (Presentation, abelianization, double_presentation,
+                            element_witnesses)
+from .words import Word, bar_word, pi_word, rho_word
 from . import zqmodules
 
 
@@ -73,6 +74,12 @@ def _triple(parts: Sequence[Perm | None], degree: int) -> Perm:
     return block_perm([p if p is not None else ident for p in parts])
 
 
+def _rho_images(G: PermGroup) -> list[Perm]:
+    """rho on the generators of the double: g -> (g, g, 1), barg -> (1, g, g)."""
+    return [_triple([p, p, None], G.degree) for p in G.generators] + \
+           [_triple([None, p, p], G.degree) for p in G.generators]
+
+
 def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
           strategy: str = "hlt", rng_seed: int = 7, raise_on_failure: bool = True
           ) -> XRealization:
@@ -82,12 +89,13 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     base_table = enumerate_cosets(pres, [], max_cosets=max_cosets, strategy=strategy)
     G = perm_realization(base_table, guard=guard)
-    G_words = base_table.coset_words(pres)
+    G_words = base_table.coset_words()
     G_elements = [base_table.word_image(pres, w) for w in G_words]
 
-    double = sidki_double(pres, AllElements(), max_cosets=max_cosets)
+    double = double_presentation(pres, element_witnesses(base_table))
     table = enumerate_cosets(double, [], max_cosets=max_cosets, strategy=strategy)
     X = perm_realization(table, guard=guard)
+    signed_relators = [signed_letters(double, r) for r in double.relators]
 
     ngens = len(pres.generators)
     x_images = list(X.generators[:ngens])
@@ -95,7 +103,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     # pi: X -> G sending both copies of a generator to the generator
     pi = GroupHom(X, G, list(G.generators) + list(G.generators),
-                  relators=[signed_letters(double, r) for r in double.relators])
+                  relators=signed_relators)
 
     # rho: X -> G x G x G with g -> (g, g, 1) and barg -> (1, g, g)
     gdeg = G.degree
@@ -107,10 +115,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
             triple_gens.append(_triple(parts, gdeg))
     G3 = PermGroup(3 * gdeg, triple_gens, guard=max(guard, G.order() ** 3 + 1),
                    known_order=G.order() ** 3)
-    rho_images = [_triple([p, p, None], gdeg) for p in G.generators] + \
-                 [_triple([None, p, p], gdeg) for p in G.generators]
-    rho = GroupHom(X, G3, rho_images,
-                   relators=[signed_letters(double, r) for r in double.relators])
+    rho = GroupHom(X, G3, _rho_images(G), relators=signed_relators)
 
     # letter differences, indexed by the base-group element
     ell_images: dict[Perm, Perm] = {}
@@ -128,8 +133,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
                [block_perm([Perm.identity(gdeg), p]) for p in G.generators]
     GG = PermGroup(2 * gdeg, two_gens, guard=max(guard, G.order() ** 2 + 1),
                    known_order=G.order() ** 2)
-    pi_gg = GroupHom(X, GG, two_gens,
-                     relators=[signed_letters(double, r) for r in double.relators])
+    pi_gg = GroupHom(X, GG, two_gens, relators=signed_relators)
     D_ker = pi_gg.kernel()
 
     W = D_ker.intersection(L_ker)
@@ -248,17 +252,6 @@ def _ell_identity(x: XRealization, samples: int | None, rng: Random
     return True, None
 
 
-def check_im_rho(x: XRealization) -> bool:
-    """Re-run the independent image-of-rho comparison."""
-    return set(x.im_rho.elements()) == _constraint_subgroup_elements(x.G)
-
-
-def ell_identity_check(x: XRealization, samples: int | None = None,
-                       rng_seed: int = 7) -> bool:
-    ok, _ = _ell_identity(x, samples, Random(rng_seed))
-    return ok
-
-
 def nilpotence_report(x: XRealization, raise_on_failure: bool = True) -> dict:
     """Nilpotency classes of the base group and the double.
 
@@ -315,75 +308,58 @@ def engel_certificate(x: XRealization, guard: int | None = None,
 
 def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000,
                         strategy: str = "hlt") -> dict:
-    """Large-instance checks for a perfect base group.
+    """Large-instance checks for a perfect base group (ArgumentError if the
+    base is not perfect).
 
     Instead of enumerating the double regularly (its order can be huge),
-    enumerate over the split copy of the base: the cosets biject with the
+    enumerate it over the split copy of the base: the cosets biject with the
     letter-difference kernel L, so the index stays manageable.  The product
-    of the coset action with the triple-coordinate map is faithful (the core
-    of the split copy meets the kernel of the triple map trivially), which
-    lets the centrality of W be verified honestly:
+    of the coset action with the triple map rho is faithful (the core of the
+    split copy meets the kernel of rho trivially), which lets the centrality
+    of W be verified honestly:
 
-    * the triple map is surjective (its image has order |G|^3), and
-    * every element of W = ker rho commutes with all generators.
+    * the order of the image of rho (|G|^3 when rho is onto) gives |W|;
+    * a coset word w gives the member pi(w)^-1 w of W = ker rho iff
+      rho_word(w) = (pi w, pi w, 1), read off the regular table of the base;
+    * every member of W commutes with all generators.
+
+    The base is enumerated once; its table also supplies the witnesses of
+    the double.
     """
     base_table = enumerate_cosets(pres, [], max_cosets=max_cosets,
                                   strategy=strategy)
     G = perm_realization(base_table, guard=10 ** 7)
     if G.derived_subgroup().order() != G.order():
         raise ArgumentError("base group is not perfect")
-    double = sidki_double(pres, AllElements(), max_cosets=max_cosets)
+    double = double_presentation(pres, element_witnesses(base_table))
     split_gens = [Word([g]) for g in pres.generators]
     table = enumerate_cosets(double, split_gens, max_cosets=max_cosets,
                              strategy=strategy)
     index = table.n_cosets                      # = |L|
     x_order = index * G.order()
 
-    gdeg = G.degree
-    ident = Perm.identity(gdeg)
-    rho_of_letter: dict[tuple[str, bool, int], tuple[Perm, Perm, Perm]] = {}
-    for g, p in zip(pres.generators, G.generators):
-        rho_of_letter[(g.name, False, 1)] = (p, p, ident)
-        rho_of_letter[(g.name, False, -1)] = (p.inverse(), p.inverse(), ident)
-        rho_of_letter[(g.name, True, 1)] = (ident, p, p)
-        rho_of_letter[(g.name, True, -1)] = (ident, p.inverse(), p.inverse())
-
-    rho_images = [_triple([p, p, None], gdeg) for p in G.generators] + \
-                 [_triple([None, p, p], gdeg) for p in G.generators]
-    im_rho = PermGroup(3 * gdeg, rho_images, guard=2, known_order=None)
+    im_rho = PermGroup(3 * G.degree, _rho_images(G), guard=2, known_order=None)
     im_rho_order = im_rho.order()               # stabilizer chain
     im_rho_full = im_rho_order == G.order() ** 3
     w_order, rem = divmod(x_order, im_rho_order)
     if rem:
         raise CheckFailure("order_product", (x_order, im_rho_order))
 
-    # triple images and split-copy projections, coset by coset
-    words = table.coset_words(double)
-    pi_idx = {(g.name, b): i for i, g in enumerate(pres.generators)
-              for b in (False, True)}
+    # the base table is regular: words are equal in G iff they reach one coset
     w_members: list[Word] = []
-    for c, w in enumerate(words):
-        r1 = r2 = r3 = ident
-        p = ident
-        for sym in w:
-            a, b, cc = rho_of_letter[(sym.name, sym.bar, sym.sign)]
-            r1, r2, r3 = r1 * a, r2 * b, r3 * cc
-            gp = G.generators[pi_idx[(sym.name, sym.bar)]]
-            p = p * (gp if sym.sign > 0 else gp.inverse())
-        if r1 == p and r2 == p and r3 == ident:
+    for w in table.coset_words():
+        p = pi_word(w)
+        first, second, third = (base_table.trace_word(0, u) for u in rho_word(w))
+        if first == second == base_table.trace_word(0, p) and third == 0:
             # the L-part of this coset lies in the kernel of the triple map
-            w_members.append(pi_word(w).inverse() * w)
+            w_members.append(p.inverse() * w)
     if len(w_members) != w_order:
         raise CheckFailure("W_member_count", (len(w_members), w_order))
 
-    def coset_perm(word: Word) -> Perm:
-        return Perm(table.trace_word(c, word) for c in range(index))
-
-    gen_perms = [coset_perm(Word([g])) for g in double.generators]
     central = True
     for lw in w_members:
-        lp = coset_perm(lw)
-        if any(lp * gp != gp * lp for gp in gen_perms):
+        lp = table.word_image_unchecked(lw)
+        if any(lp * gp != gp * lp for gp in table.action):
             central = False
             break
     return {

@@ -26,7 +26,10 @@ from .errors import AlphabetError, ArgumentError, ParseError
 class GenSymbol:
     """One signed letter: base name, bar flag, and sign (+1 or -1).
 
-    Symbols compare by (name, bar); the sign only flips under inversion.
+    Symbols compare and hash by (name, bar, sign), so a letter and its
+    inverse are different symbols; ``same_generator`` compares (name, bar)
+    alone.  ``format_word`` relies on this to collapse a run of one signed
+    letter into a power.
     """
 
     name: str
@@ -139,6 +142,20 @@ def free_reduce(letters: Sequence[GenSymbol],
             if sym.generator not in allowed:
                 raise AlphabetError(f"symbol {sym} not in declared alphabet")
     return Word(letters)
+
+
+def reduced_words(alphabet: Sequence[GenSymbol], max_len: int) -> list[Word]:
+    """Every freely reduced word of length <= max_len over the alphabet,
+    breadth first: the empty word, then by length, extending each word of the
+    previous length by the generators in order and then by their inverses."""
+    letters = [Word([g]) for g in alphabet] + [Word([g.inverse()]) for g in alphabet]
+    out = [Word()]
+    frontier = [Word()]
+    for _ in range(max_len):
+        frontier = [v for w in frontier for letter in letters
+                    if len(v := w * letter) == len(w) + 1]
+        out.extend(frontier)
+    return out
 
 
 def gen(name: str, bar: bool = False) -> Word:

@@ -1,12 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a summary line.
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
-summary lines, or ``-m ''`` to include the long optional run at the end).
+summary lines).
 """
 
 import random
-
-import pytest
 
 from weakcomm import sidki, zqmodules
 from weakcomm.decision import (FiniteRealizationOracle, WPSetup, ball_sizes,
@@ -201,11 +199,13 @@ def test_criterion_10_growth():
     _report(10, "taxicab counts, classifier degrees, finite stabilization")
 
 
-@pytest.mark.slow
-def test_criterion_11_perfect_base_optional():
+def test_criterion_11_perfect_base():
     rep = sidki.perfect_base_report(
         parse_presentation("< a, b | a^2, b^3, (a*b)^5 >"))
     assert rep["group_order"] == 60
+    assert rep["index_of_split_copy"] == 7200
+    assert rep["X_order"] == 432000
+    assert rep["W_order"] == 2
     assert rep["im_rho_is_full_triple_product"]
     assert rep["W_central"]
     _report(11, f"perfect base: X order {rep['X_order']}, W order "

@@ -17,6 +17,22 @@ def test_usage_errors(capsys):
     assert main(["verify", "-p", "<a|a^2>", "--max-cosets", "-1"]) == 3
 
 
+def test_missing_file_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["parse", "--file", missing]) == 3
+    assert main(["area", "-p", "< a, b | [a,b] >", "--check", missing]) == 3
+    assert main(["--config", missing, "parse", "-p", "< a | >"]) == 3
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"radius": "3"}, {"guard": True}, {"witness": 2}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["--config", str(cfg), "parse", "-p", "< a | >"]) == 3
+    assert "wrong type" in capsys.readouterr().err
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert main(["realize", "-p", "< a, b | >", "--max-cosets", "50"]) == 2
 

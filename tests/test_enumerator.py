@@ -84,7 +84,7 @@ def test_budget_overflow():
 
 def test_coset_words_reach_their_cosets():
     t = enumerate_cosets(S3, [])
-    words = t.coset_words(S3)
+    words = t.coset_words()
     assert len(words) == t.n_cosets
     assert words[0].is_identity()
     for c, w in enumerate(words):
@@ -96,7 +96,7 @@ def test_regular_realization_order_and_faithfulness():
     g = perm_realization(t)
     assert g.order() == 6
     # free regular action: only the identity fixes coset 0
-    words = t.coset_words(S3)
+    words = t.coset_words()
     assert sum(1 for w in words if t.is_trivial_word(w)) == 1
 
 

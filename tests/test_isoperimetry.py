@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from weakcomm.errors import ArgumentError
 from weakcomm.isoperimetry import (AreaCertificate, CN_ALPHABET,
                                    ELL_ALPHABET, GRID_PRESENTATION,
-                                   c_n_candidate_l_word, c_n_letters, c_n_word,
+                                   c_n_candidate_l_word, c_n_letters,
                                    central_extension_presentation,
                                    central_transform, check_certificate,
                                    distortion_bracket,
@@ -177,7 +177,6 @@ def test_c_n_spelling():
         first, second, third = rho_of_spelling(letters)
         assert first == commutator(A ** n, B ** n)
         assert second.is_identity() and third.is_identity()
-    assert c_n_word(3) == c_n_letters(3)
     assert len(Word(c_n_letters(4))) == 16   # the reduced form has 4n letters
     with pytest.raises(ArgumentError):
         c_n_letters(0)

@@ -1,6 +1,8 @@
+from random import Random
+
 import pytest
 
-from weakcomm import sidki
+from weakcomm import enumerator, sidki
 from weakcomm.errors import ArgumentError
 from weakcomm.permgroups import commutator
 from weakcomm.presentations import parse_presentation
@@ -32,7 +34,7 @@ def test_s3_image_of_rho(realizations):
     x = realizations["S3"]
     assert x.im_rho.order() == 108
     assert x.G.order() ** 3 // x.im_rho.order() == 2 == x.Q.order()
-    assert sidki.check_im_rho(x)
+    assert set(x.im_rho.elements()) == sidki._constraint_subgroup_elements(x.G)
 
 
 def test_c2xc2_recorded_values(realizations):
@@ -57,8 +59,8 @@ def test_generator_commutators_suffice_for_d(realizations):
 
 
 def test_ell_identity_exhaustive(realizations):
-    assert sidki.ell_identity_check(realizations["C2xC2"])
-    assert sidki.ell_identity_check(realizations["S3"])
+    for name in ("C2xC2", "S3"):
+        assert sidki._ell_identity(realizations[name], None, Random(7)) == (True, None)
 
 
 def test_w_central_and_l_not_normally_bigger(realizations):
@@ -109,6 +111,29 @@ def test_engel_certificate_rejects_non_engel(realizations):
 def test_build_rejects_barred_base():
     with pytest.raises(ArgumentError):
         sidki.build(parse_presentation("< a, a~ | >"))
+
+
+def test_perfect_base_report_rejects_non_perfect_base():
+    with pytest.raises(ArgumentError):
+        sidki.perfect_base_report(parse_presentation("< a, b | a^2, b^2, (a*b)^3 >"))
+
+
+def test_each_pipeline_enumerates_the_base_once(monkeypatch):
+    enumerated = []
+    real = enumerator.enumerate_cosets
+
+    def counting(pres, *args, **kwargs):
+        enumerated.append(pres)
+        return real(pres, *args, **kwargs)
+
+    monkeypatch.setattr(enumerator, "enumerate_cosets", counting)
+    monkeypatch.setattr(sidki, "enumerate_cosets", counting)
+    for text, pipeline in (("< a, b | a^2, b^2, (a*b)^3 >", sidki.build),
+                           ("< a, b | a^2, b^3, (a*b)^5 >", sidki.perfect_base_report)):
+        base = parse_presentation(text)
+        enumerated.clear()
+        pipeline(base)
+        assert enumerated.count(base) == 1, pipeline.__name__
 
 
 def test_verification_report_shape(realizations):

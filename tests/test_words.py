@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from weakcomm.errors import AlphabetError, ArgumentError, ParseError
 from weakcomm.words import (GenSymbol, Word, bar_word, commutator, engel_word,
                             ell, format_word, free_reduce, gen, left_normed,
-                            parse_word, pi_word, pibar_word, rho_word)
+                            parse_word, pi_word, pibar_word, reduced_words,
+                            rho_word)
 
 A, B = GenSymbol("a"), GenSymbol("b")
 ABAR = GenSymbol("a", bar=True)
@@ -21,6 +22,21 @@ def test_free_reduce_examples():
     assert free_reduce([A, B, B.inverse(), A]) == Word([A, A])
     w = [A.inverse(), B.inverse(), A, B]
     assert free_reduce(w) == Word(w)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_reduced_words_breadth_first(rank):
+    alphabet = [GenSymbol(name) for name in "abc"[:rank]]
+    ws = reduced_words(alphabet, 4)
+    assert len(ws) == 1 + sum(2 * rank * (2 * rank - 1) ** (n - 1)
+                              for n in range(1, 5))
+    assert len(set(ws)) == len(ws)
+    for w in ws:
+        assert not any(x.same_generator(y) and x.sign == -y.sign
+                       for x, y in zip(w.letters, w.letters[1:]))
+    assert [len(w) for w in ws] == sorted(len(w) for w in ws)
+    assert ws[:1 + 2 * rank] == [Word()] + [Word([g]) for g in alphabet] + \
+        [Word([g.inverse()]) for g in alphabet]
 
 
 def test_free_reduce_alphabet_error():
