@@ -4,8 +4,9 @@ Every command reads a presentation (inline via -p or from a file), runs one
 pipeline, prints a human summary to stdout, and can write a versioned JSON
 report.  Exit codes: 0 all asserted checks pass; 1 a mathematical assertion
 failed (witness in the report); 2 budget or guard exhausted; 3 usage error,
-including a file that cannot be read or written and a config value of the
-wrong type.
+including a file that cannot be read, decoded or written, malformed JSON in
+``--config`` or a ``--check`` certificate, and a config value of the wrong
+type.
 Reports embed the configuration and are byte-identical for identical runs.
 """
 
@@ -345,7 +346,14 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig()
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                for key, value in json.load(fh).items():
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"--config is not valid JSON: {exc.msg}",
+                                     exc.pos) from exc
+                if not isinstance(doc, dict):
+                    raise ArgumentError("--config must hold a JSON object")
+                for key, value in doc.items():
                     attr = key.replace("-", "_")
                     if not hasattr(config, attr):
                         raise ArgumentError(f"unknown config key {key!r}")
@@ -357,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(config, attr, value)
         config.validate()
         return _COMMANDS[args.command](args, config)
-    except (ParseError, ArgumentError, OSError) as exc:
+    except (ParseError, ArgumentError, OSError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except (EnumerationOverflow, SizeGuardError) as exc:

@@ -64,13 +64,28 @@ class AreaCertificate:
 
     @classmethod
     def from_json(cls, text: str, pres: Presentation) -> "AreaCertificate":
-        doc = json.loads(text)
-        word = parse_word(doc["word"], pres.generators)
+        """Inverse of ``to_json``; ParseError on bad JSON, a missing key or a
+        value of the wrong type."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"certificate is not valid JSON: {exc.msg}",
+                             exc.pos) from exc
+        word = parse_word(_json_field(doc, "word", str), pres.generators)
         factors = tuple(
-            (parse_word(f["theta"], pres.generators), int(f["relator"]),
-             int(f["sign"]))
-            for f in doc["factors"])
+            (parse_word(_json_field(f, "theta", str), pres.generators),
+             _json_field(f, "relator", int), _json_field(f, "sign", int))
+            for f in _json_field(doc, "factors", list))
         return cls(word, factors)
+
+
+def _json_field(doc, key: str, kind: type):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"certificate entry without {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"certificate {key!r} has the wrong type: {value!r}")
+    return value
 
 
 def check_certificate(pres: Presentation, cert: AreaCertificate) -> bool:

@@ -11,12 +11,17 @@ Engel verification is a forall-forall property, so it is exhaustive over
 ordered pairs (never sampled); the inner loop is vectorized with numpy and
 the outer loop runs over conjugacy-class representatives of the second
 argument, which is sound because Engel words transform equivariantly under
-simultaneous conjugation.
+simultaneous conjugation.  Engel words of group elements are group
+elements, and two group elements that agree on a base (points fixed
+pointwise only by the identity) are equal, so the scan deduplicates its rows
+and tests them for the identity on the base columns alone; a regular
+group's base is a single point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import reduce
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -45,7 +50,9 @@ class Perm:
         return len(self.img)
 
     def __mul__(self, other: "Perm") -> "Perm":
-        return Perm(other.img[x] for x in self.img)
+        if len(self.img) < 2:  # itemgetter needs two indices to return a tuple
+            return Perm(other.img[x] for x in self.img)
+        return Perm(operator.itemgetter(*self.img)(other.img))
 
     def inverse(self) -> "Perm":
         out = [0] * len(self.img)
@@ -323,7 +330,8 @@ class PermGroup:
         elem_matrix = self._element_matrix()
         if elem_matrix.shape[0] == 1:
             return 1
-        identity = np.arange(self.degree, dtype=np.int64)
+        base = _base_of_rows(elem_matrix)
+        identity = np.array(base, dtype=np.int64)
         batch = max(1, 10_000_000 // max(1, self.degree))
         worst = 1
         for b in self.conjugacy_class_reps():
@@ -331,16 +339,18 @@ class PermGroup:
             binv = np.array(b.inverse().img, dtype=np.int64)
             for start in range(0, elem_matrix.shape[0], batch):
                 gamma = self._engel_step(elem_matrix[start:start + batch], barr, binv)
-                gamma = np.unique(gamma, axis=0)
                 k = 1
                 while True:
-                    done = (gamma == identity).all(axis=1)
-                    gamma = gamma[~done]
+                    # equal base images mean equal elements, so dedupe and
+                    # test for the identity on the base columns alone
+                    images, keep = np.unique(gamma[:, base], axis=0, return_index=True)
+                    live = ~(images == identity).all(axis=1)
+                    gamma = gamma[keep[live]]
                     if gamma.shape[0] == 0:
                         break
                     if k >= cap:
                         return None
-                    gamma = np.unique(self._engel_step(gamma, barr, binv), axis=0)
+                    gamma = self._engel_step(gamma, barr, binv)
                     k += 1
                 worst = max(worst, k)
         return worst
@@ -352,6 +362,23 @@ class PermGroup:
         t = binv[inv]
         t = np.take_along_axis(stack, t, axis=1)
         return barr[t]
+
+
+def _base_of_rows(rows: np.ndarray) -> list[int]:
+    """A base of the group whose elements are the rows of an image matrix.
+
+    Walks the points in order and keeps a point when some element fixing the
+    kept points moves it; only the identity fixes the result pointwise.
+    """
+    base: list[int] = []
+    for pt in range(rows.shape[1]):
+        if rows.shape[0] == 1:
+            break
+        fixes = rows[:, pt] == pt
+        if not fixes.all():
+            base.append(pt)
+            rows = rows[fixes]
+    return base
 
 
 def reduce_generators(degree: int, elems: Sequence[Perm], guard: int) -> list[Perm]:

@@ -25,12 +25,44 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe{")
+    assert main(["parse", "--file", str(binary)]) == 3
+    assert main(["--config", str(binary), "parse", "-p", "< a | >"]) == 3
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for bad in ({"radius": "3"}, {"guard": True}, {"witness": 2}):
         cfg.write_text(json.dumps(bad))
         assert main(["--config", str(cfg), "parse", "-p", "< a | >"]) == 3
     assert "wrong type" in capsys.readouterr().err
+
+
+def test_config_with_malformed_json_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ('{"radius": 3', "[1, 2]"):
+        cfg.write_text(bad)
+        assert main(["--config", str(cfg), "parse", "-p", "< a | >"]) == 3
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "JSON object" in err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"word": "[a,b]"',
+    '{"word": "[a,b]"}',
+    '{"word": "[a,b]", "factors": [{"theta": "1", "relator": 0}]}',
+    '{"word": "[a,b]", "factors": [{"theta": "1", "relator": "0", "sign": 1}]}',
+    '{"word": 3, "factors": []}',
+    '["word", "factors"]',
+])
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, doc):
+    cert = tmp_path / "cert.json"
+    cert.write_text(doc)
+    assert main(["area", "-p", "< a, b | [a,b] >", "--check", str(cert)]) == 3
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exit_code(capsys):

@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakcomm.enumerator import enumerate_cosets, perm_realization
 from weakcomm.errors import ArgumentError, SizeGuardError
 from weakcomm.permgroups import (GroupHom, Perm, PermGroup, abelian_invariants,
                                  block_perm, commutator, evaluate,
-                                 quotient_realization, _chain_order)
+                                 quotient_realization, _base_of_rows,
+                                 _chain_order)
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 
-from .oracles import closure, quaternion_group, s3_generators
+from .oracles import (closure, pcompose, pinverse, quaternion_group,
+                      s3_generators)
 
 
 def s3_regular():
@@ -128,6 +131,74 @@ def test_engel_checks():
         s3.is_n_engel(2, guard=3)
     with pytest.raises(ArgumentError):
         s3.is_n_engel(0)
+
+
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_perm_product_matches_oracle(pq):
+    p, q = pq
+    prod = Perm(p) * Perm(q)
+    assert prod.img == pcompose(p, q)
+    assert type(prod.img) is tuple
+
+
+def brute_engel_class(gens, cap):
+    """Least n <= cap with [x, y, ..., y] (n times y) trivial for every
+    ordered pair of elements, or None; straight from the definition."""
+    elems = closure(gens)
+    ident = tuple(range(len(gens[0])))
+    worst = 1
+    for x in elems:
+        for y in elems:
+            g = x
+            for k in range(1, cap + 1):
+                g = pcompose(pcompose(pinverse(g), pinverse(y)), pcompose(g, y))
+                if g == ident:
+                    break
+            else:
+                return None
+            worst = max(worst, k)
+    return worst
+
+
+D4_ON_4 = [(1, 2, 3, 0), (0, 3, 2, 1)]
+S3xC2_ON_5 = [(1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]
+D4xC2_ON_6 = [g + (4, 5) for g in D4_ON_4] + [(0, 1, 2, 3, 5, 4)]
+D8_ON_8 = [tuple((i + 1) % 8 for i in range(8)), tuple(-i % 8 for i in range(8))]
+
+
+@pytest.mark.parametrize("gens, base_size, engel", [
+    (D4_ON_4, 2, 2), (S3xC2_ON_5, 3, None), (D4xC2_ON_6, 3, 2), (D8_ON_8, 2, 3)])
+def test_engel_scan_matches_brute_force(gens, base_size, engel):
+    group = PermGroup(len(gens[0]), [Perm(g) for g in gens])
+    assert brute_engel_class(gens, cap=4) == engel
+    assert group.minimal_engel_class(cap=4) == engel
+    for n in range(1, 5):
+        assert group.is_n_engel(n) == (engel is not None and engel <= n)
+    assert len(_base_of_rows(group._element_matrix())) == base_size
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)))
+def test_engel_scan_matches_brute_force_on_random_groups(gens):
+    group = PermGroup(len(gens[0]), [Perm(g) for g in gens])
+    assert group.minimal_engel_class(cap=3) == brute_engel_class(gens, cap=3)
+
+
+@pytest.mark.parametrize("gens", [
+    D4_ON_4, S3xC2_ON_5, D4xC2_ON_6, D8_ON_8, s3_generators(),
+    quaternion_group().regular_permutations(["i", "j"])])
+def test_base_is_fixed_pointwise_only_by_the_identity(gens):
+    group = PermGroup(len(gens[0]), [Perm(g) for g in gens])
+    base = _base_of_rows(group._element_matrix())
+    fixers = [p for p in closure(gens) if all(p[b] == b for b in base)]
+    assert fixers == [tuple(range(len(gens[0])))]
+
+
+def test_base_of_a_regular_group_is_one_point():
+    assert _base_of_rows(s3_regular()._element_matrix()) == [0]
+    assert _base_of_rows(q8_from_table()[0]._element_matrix()) == [0]
 
 
 def test_hom_kernel_image_orders():
