@@ -4,7 +4,7 @@
 Enumerates the double over the split copy of the base (the coset count is
 the order of the letter-difference kernel, far below the group order),
 confirms that the triple-coordinate map is onto the full cube, and verifies
-that its kernel W is central.  Expect minutes of runtime.
+that its kernel W is central.  It runs in a few seconds.
 
     python scripts/perfect_base_run.py
 """

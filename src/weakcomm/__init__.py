@@ -5,7 +5,7 @@ from .errors import (AlphabetError, ArgumentError, CheckFailure,
                      WeakcommError)
 from .words import (GenSymbol, Word, bar_word, commutator, engel_word,
                     free_reduce, left_normed, parse_word, pi_word, pibar_word,
-                    rho_word, structural_maps)
+                    rho_word)
 from .presentations import (AllElements, LengthBound, Presentation,
                             abelianization, direct_product, free_product,
                             parse_presentation, sidki_double)

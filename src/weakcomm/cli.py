@@ -18,9 +18,10 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import sidki, zqmodules
-from .decision import (WPSetup, ball_sizes, growth_classifier,
-                       oracle_for_presentation, xg_word_problem)
-from .enumerator import enumerate_cosets
+from .decision import (FiniteRealizationOracle, WPSetup, ball_sizes,
+                       growth_classifier, oracle_for_presentation,
+                       xg_word_problem)
+from .enumerator import CosetTable, enumerate_cosets
 from .errors import (ArgumentError, CheckFailure, EnumerationOverflow,
                      ParseError, SizeGuardError, WeakcommError)
 from .intlinalg import FinAbGroup
@@ -28,8 +29,10 @@ from .isoperimetry import (AreaCertificate, GRID_PRESENTATION,
                            check_certificate, grid_certificate,
                            minimal_area_search)
 from .presentations import (AllElements, LengthBound, Presentation,
-                            abelianization, format_presentation,
-                            parse_presentation, sidki_double)
+                            abelianization, double_presentation,
+                            element_witnesses, format_presentation,
+                            parse_presentation, presentation_to_json,
+                            require_unbarred, sidki_double)
 from .words import parse_word
 
 SCHEMA_VERSION = 1
@@ -87,29 +90,32 @@ def _parse_witness(text: str | None):
     raise ArgumentError(f"bad witness policy {text!r} (use 'all' or 'len:k')")
 
 
-def _resolve_double(pres: Presentation, config: RunConfig) -> tuple[Presentation, dict]:
+def _resolve_double(pres: Presentation, config: RunConfig
+                    ) -> tuple[Presentation, dict, CosetTable | None]:
     """Double the presentation under the configured witness policy.
 
     Default policy: one witness per element when the base enumerates within
     budget; otherwise fall back to words of length <= 2, flagging that the
-    result may present a proper pre-image of the double.
+    result may present a proper pre-image of the double.  The regular table
+    of the base comes back when it was enumerated, None otherwise.
     """
-    meta: dict = {}
-    if config.witness is None:
+    policy = AllElements() if config.witness is None else _parse_witness(config.witness)
+    base_table = None
+    if isinstance(policy, AllElements):
+        require_unbarred(pres)  # before enumerating the base
         try:
-            doubled = sidki_double(pres, AllElements(), max_cosets=config.max_cosets)
-            meta["witness_policy"] = "all"
-            meta["may_be_preimage"] = False
+            base_table = enumerate_cosets(pres, [], max_cosets=config.max_cosets)
         except EnumerationOverflow:
-            doubled = sidki_double(pres, LengthBound(2), max_cosets=config.max_cosets)
-            meta["witness_policy"] = "len:2"
-            meta["may_be_preimage"] = True
-    else:
-        policy = _parse_witness(config.witness)
+            if config.witness is not None:
+                raise
+            policy = LengthBound(2)
+    if base_table is None:
         doubled = sidki_double(pres, policy, max_cosets=config.max_cosets)
-        meta["witness_policy"] = policy.label()
-        meta["may_be_preimage"] = isinstance(policy, LengthBound)
-    return doubled, meta
+    else:
+        doubled = double_presentation(pres, element_witnesses(base_table))
+    meta = {"witness_policy": policy.label(),
+            "may_be_preimage": isinstance(policy, LengthBound)}
+    return doubled, meta, base_table
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -138,12 +144,11 @@ def _cmd_parse(args, config: RunConfig) -> int:
 
 def _cmd_double(args, config: RunConfig) -> int:
     pres = _load_presentation(args)
-    doubled, meta = _resolve_double(pres, config)
+    doubled, meta, _ = _resolve_double(pres, config)
     print(f"double: {format_presentation(doubled)}")
     if meta["may_be_preimage"]:
         print("NOTE: bounded witness set; this may present a proper pre-image "
               "of the weak-commutativity double")
-    from .presentations import presentation_to_json
     _emit({"command": "double", "base": format_presentation(pres),
            "double": format_presentation(doubled), "meta": meta,
            "document": json.loads(presentation_to_json(doubled, meta))}, config)
@@ -154,7 +159,7 @@ def _cmd_realize(args, config: RunConfig) -> int:
     pres = _load_presentation(args)
     meta: dict = {}
     if args.double:
-        pres, meta = _resolve_double(pres, config)
+        pres, meta, _ = _resolve_double(pres, config)
     table = enumerate_cosets(pres, [], max_cosets=config.max_cosets,
                              strategy=args.strategy)
     print(f"cosets: {table.n_cosets} (strategy {args.strategy})")
@@ -218,8 +223,11 @@ def _cmd_modules(args, config: RunConfig) -> int:
 
 def _cmd_wp(args, config: RunConfig) -> int:
     pres = _load_presentation(args)
-    doubled, meta = _resolve_double(pres, config)
-    oracle, kind = oracle_for_presentation(pres, max_cosets=config.max_cosets)
+    doubled, meta, base_table = _resolve_double(pres, config)
+    if base_table is not None:
+        oracle, kind = FiniteRealizationOracle(pres, base_table), "finite"
+    else:
+        oracle, kind = oracle_for_presentation(pres, max_cosets=config.max_cosets)
     setup = WPSetup(pres, oracle, doubled)
     results = []
     had_unknown = False
@@ -240,7 +248,7 @@ def _cmd_growth(args, config: RunConfig) -> int:
     pres = _load_presentation(args)
     meta: dict = {}
     if args.double:
-        pres, meta = _resolve_double(pres, config)
+        pres, meta, _ = _resolve_double(pres, config)
     oracle, kind = oracle_for_presentation(pres, max_cosets=config.max_cosets)
     gens = [parse_word(g.name + ("~" if g.bar else ""), pres.generators)
             for g in pres.generators]

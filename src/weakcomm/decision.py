@@ -166,8 +166,6 @@ class WPSetup:
 
 
 def _try_full_enumeration(setup: WPSetup, budget: int) -> CosetTable | None:
-    if setup.faithful is not None:
-        return setup.faithful
     if budget <= setup.failed_full_budget:
         return None
     try:
@@ -202,8 +200,7 @@ def _build_partial_quotients(setup: WPSetup, budget: int) -> None:
             break
 
 
-def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000,
-                    realization: CosetTable | None = None) -> Verdict:
+def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
     """Decide triviality of a word over the doubled alphabet.
 
     Trivial and Nontrivial verdicts are always correct; completeness under a
@@ -213,11 +210,6 @@ def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000,
     for sym in w:
         if (sym.name, sym.bar) not in setup.alphabet_set:
             raise ArgumentError(f"letter {sym} outside the double's alphabet")
-
-    # fast path: a caller-supplied faithful realization decides exactly
-    if realization is not None:
-        value = "trivial" if realization.is_trivial_word(w) else "nontrivial"
-        return Verdict(value, "fast-path realization", {"n_cosets": realization.n_cosets})
 
     # stage 1: the triple-coordinate image; any bad coordinate certifies
     coords = rho_word(w)

@@ -367,16 +367,3 @@ class AbHom:
         img = self.matrix.apply(list(coords))
         return tuple(x % e if e else x for x, e in zip(img, self._orders_tgt))
 
-
-def gcd_of_minors(m: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors (0 when there are none nonzero); brute force.
-
-    Exponential in k; intended as an independent oracle for SNF tests.
-    """
-    from itertools import combinations
-    g = 0
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            sub = IntMatrix([[m.data[i][j] for j in cols] for i in rows])
-            g = math.gcd(g, sub.det())
-    return g

@@ -22,7 +22,8 @@ from itertools import product as iproduct
 from typing import Callable, Sequence
 
 from .errors import ArgumentError, ParseError
-from .presentations import Presentation, parse_presentation
+from .presentations import (Presentation, parse_presentation,
+                            presentation_from_json, presentation_to_json)
 from .words import (GenSymbol, Word, commutator, format_word, parse_word,
                     reduced_words, rho_word)
 
@@ -254,7 +255,6 @@ def central_extension_presentation(
 
 def lifting_to_json(lifting: CentralLifting) -> str:
     """Embed the lifting data in the base presentation's JSON document."""
-    from .presentations import presentation_to_json
     meta = {"central_gens": list(lifting.central_gens),
             "sigma": [format_word(s) for s in lifting.sigmas]}
     return presentation_to_json(lifting.base, meta)
@@ -263,7 +263,6 @@ def lifting_to_json(lifting: CentralLifting) -> str:
 def lifting_from_json(text: str,
                       triviality_oracle: Callable[[Word], bool] | None = None
                       ) -> CentralLifting:
-    from .presentations import presentation_from_json
     base, meta = presentation_from_json(text)
     central = meta["central_gens"]
     syms = [GenSymbol(c) for c in central]

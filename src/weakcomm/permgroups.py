@@ -248,21 +248,11 @@ class PermGroup:
         gens = [commutator(a, b) for a, b in combinations(self.generators, 2)]
         return self.normal_closure(gens)
 
-    def commutator_subgroup_with(self, other: "PermGroup") -> "PermGroup":
-        """Normal closure of [gens(self), gens(other)] -- correct for [A, B]
-        when both are normal in the ambient group this is called on."""
-        gens = [commutator(a, b) for a in self.generators for b in other.generators]
-        return self.normal_closure(gens)
-
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a, b in combinations(self.generators, 2))
 
     def is_perfect(self) -> bool:
         return self.derived_subgroup().order() == self.order()
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        theirs = other.elements()
-        return all(g in theirs for g in self.generators)
 
     def lower_central_series(self) -> list["PermGroup"]:
         series = [self]

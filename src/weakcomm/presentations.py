@@ -193,7 +193,7 @@ def witness_words(p: Presentation, policy: WitnessPolicy,
     return element_witnesses(enumerate_cosets(p, [], max_cosets=max_cosets))
 
 
-def _require_unbarred(p: Presentation) -> None:
+def require_unbarred(p: Presentation) -> None:
     if any(g.bar for g in p.generators):
         raise ArgumentError("presentation already contains barred generators")
 
@@ -201,7 +201,7 @@ def _require_unbarred(p: Presentation) -> None:
 def double_presentation(p: Presentation, witnesses: Sequence[Word]) -> Presentation:
     """Generators X u barred X, relators R u bar(R) u {[w, bar w] : w in
     witnesses}."""
-    _require_unbarred(p)
+    require_unbarred(p)
     gens = list(p.generators) + [GenSymbol(g.name, bar=True) for g in p.generators]
     relators = list(p.relators) + [bar_word(r) for r in p.relators]
     relators += [commutator(w, bar_word(w)) for w in witnesses]
@@ -211,7 +211,7 @@ def double_presentation(p: Presentation, witnesses: Sequence[Word]) -> Presentat
 def sidki_double(p: Presentation, policy: WitnessPolicy,
                  max_cosets: int = 10 ** 6) -> Presentation:
     """Double the presentation over the witness set of the policy."""
-    _require_unbarred(p)  # before enumerating the base
+    require_unbarred(p)  # before enumerating the base
     return double_presentation(p, witness_words(p, policy, max_cosets=max_cosets))
 
 

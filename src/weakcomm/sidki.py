@@ -1,7 +1,8 @@
 """End-to-end construction and verification of the weak-commutativity double.
 
-``build`` enumerates a finite base group G and its double X, realizes both
-regularly, extracts the structural subgroups
+``build`` enumerates a finite base group G regularly and its double X over
+the split copy of G, realizes X faithfully on those cosets times the triple
+map rho, extracts the structural subgroups
 
     D = kernel of X -> G x barG        (the commutator subgroup [G, barG])
     L = kernel of X -> G               (generated by the letter differences)
@@ -22,7 +23,7 @@ from .enumerator import CosetTable, enumerate_cosets, perm_realization, signed_l
 from .errors import ArgumentError, CheckFailure
 from .intlinalg import FinAbGroup
 from .permgroups import (GroupHom, Perm, PermGroup, block_perm, commutator,
-                         quotient_realization)
+                         evaluate, quotient_realization)
 from .presentations import (Presentation, abelianization, double_presentation,
                             element_witnesses)
 from .words import Word, bar_word, pi_word, rho_word
@@ -33,12 +34,9 @@ from . import zqmodules
 class XRealization:
     presentation: Presentation
     double: Presentation
-    base_table: CosetTable
-    table: CosetTable
     G: PermGroup
     X: PermGroup
     x_images: list[Perm]
-    xbar_images: list[Perm]
     G_elements: list[Perm]
     G_words: list[Word]
     ell_images: dict[Perm, Perm]
@@ -46,8 +44,6 @@ class XRealization:
     L: PermGroup
     W: PermGroup
     DL: PermGroup
-    G_split: PermGroup
-    G3: PermGroup
     im_rho: PermGroup
     rho: GroupHom
     pi: GroupHom
@@ -57,6 +53,11 @@ class XRealization:
     def check(self, name: str, ok: bool, witness=None) -> None:
         self.checks.append({"name": name, "pass": bool(ok),
                             **({"witness": str(witness)} if witness is not None and not ok else {})})
+
+    def element(self, w: Word) -> Perm:
+        """The element of X named by a word over the double's alphabet."""
+        return evaluate(self.X.generators, signed_letters(self.double, w),
+                        self.X.degree)
 
     def failed_checks(self) -> list[dict]:
         return [c for c in self.checks if not c["pass"]]
@@ -80,21 +81,40 @@ def _rho_images(G: PermGroup) -> list[Perm]:
            [_triple([None, p, p], G.degree) for p in G.generators]
 
 
+def _split_copy_cosets(pres: Presentation, double: Presentation,
+                       max_cosets: int) -> CosetTable:
+    """The cosets of the split copy <x : x in X> in the double; they biject
+    with the letter-difference kernel L."""
+    return enumerate_cosets(double, [Word([g]) for g in pres.generators],
+                            max_cosets=max_cosets)
+
+
 def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
-          strategy: str = "hlt", rng_seed: int = 7, raise_on_failure: bool = True
-          ) -> XRealization:
-    """Build and verify the double of a finite presented group."""
+          rng_seed: int = 7, raise_on_failure: bool = True) -> XRealization:
+    """Build and verify the double of a finite presented group.
+
+    X is generated by the coset action on the split copy times rho, which is
+    faithful because the split copy meets the kernel of rho trivially; its
+    degree is [X : split copy] + 3 |G|.  CheckFailure when the generated
+    group is not of order [X : split copy] |G|.
+    """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
 
-    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets, strategy=strategy)
+    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
     G = perm_realization(base_table, guard=guard)
     G_words = base_table.coset_words()
     G_elements = [base_table.word_image(pres, w) for w in G_words]
 
     double = double_presentation(pres, element_witnesses(base_table))
-    table = enumerate_cosets(double, [], max_cosets=max_cosets, strategy=strategy)
-    X = perm_realization(table, guard=guard)
+    table = _split_copy_cosets(pres, double, max_cosets)
+    index = table.n_cosets
+    rho_images = _rho_images(G)
+    X = PermGroup(index + 3 * G.degree,
+                  [block_perm([c, r]) for c, r in zip(table.action, rho_images)],
+                  guard=guard)
+    if X.order() != index * G.order():
+        raise CheckFailure("faithful_realization", (X.order(), index * G.order()))
     signed_relators = [signed_letters(double, r) for r in double.relators]
 
     ngens = len(pres.generators)
@@ -115,16 +135,8 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
             triple_gens.append(_triple(parts, gdeg))
     G3 = PermGroup(3 * gdeg, triple_gens, guard=max(guard, G.order() ** 3 + 1),
                    known_order=G.order() ** 3)
-    rho = GroupHom(X, G3, _rho_images(G), relators=signed_relators)
+    rho = GroupHom(X, G3, rho_images, relators=signed_relators)
 
-    # letter differences, indexed by the base-group element
-    ell_images: dict[Perm, Perm] = {}
-    for g_elem, w in zip(G_elements, G_words):
-        u = table.word_image(double, w)
-        v = table.word_image(double, bar_word(w))
-        ell_images[g_elem] = u.inverse() * v
-
-    L_sub = X.subgroup(list(ell_images.values()))
     L_ker = pi.kernel()
     D_gens = [commutator(a, b) for a in x_images for b in xbar_images]
     D_nc = X.normal_closure(D_gens)
@@ -143,18 +155,20 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     Q = abelianization(pres)
 
     x = XRealization(
-        presentation=pres, double=double, base_table=base_table, table=table,
-        G=G, X=X, x_images=x_images, xbar_images=xbar_images,
-        G_elements=G_elements, G_words=G_words, ell_images=ell_images,
-        D=D_ker, L=L_ker, W=W, DL=DL, G_split=G_split, G3=G3, im_rho=im_rho,
-        rho=rho, pi=pi, Q=Q,
+        presentation=pres, double=double, G=G, X=X, x_images=x_images,
+        G_elements=G_elements, G_words=G_words, ell_images={},
+        D=D_ker, L=L_ker, W=W, DL=DL, im_rho=im_rho, rho=rho, pi=pi, Q=Q,
     )
+    # letter differences, indexed by the base-group element
+    for g_elem, w in zip(G_elements, G_words):
+        x.ell_images[g_elem] = x.element(w).inverse() * x.element(bar_word(w))
 
     # --- structural checks -------------------------------------------------
+    L_sub = X.subgroup(list(x.ell_images.values()))
     x.check("L_generated_by_letter_differences",
             L_sub.order() == L_ker.order() and
             all(g in L_ker.elements() for g in L_sub.generators))
-    L_nc = X.normal_closure(list(ell_images.values()))
+    L_nc = X.normal_closure(list(x.ell_images.values()))
     x.check("L_subgroup_equals_normal_closure", L_nc.order() == L_sub.order())
     x.check("D_normal_closure_equals_kernel",
             D_nc.order() == D_ker.order() and
@@ -229,7 +243,6 @@ def _ell_identity(x: XRealization, samples: int | None, rng: Random
                   ) -> tuple[bool, tuple | None]:
     """Both conjugation identities for letter differences:
     l_u^x = l_{ux} l_x^-1   and   l_u^{bar x} = l_x^-1 l_{ux}."""
-    table, double = x.table, x.double
     pairs = []
     if samples is None:
         pairs = [(i, j) for i in range(len(x.G_elements))
@@ -243,8 +256,8 @@ def _ell_identity(x: XRealization, samples: int | None, rng: Random
         lu = x.ell_images[u]
         lx = x.ell_images[xg]
         lux = x.ell_images[u * xg]
-        img_x = table.word_image(double, wx)
-        img_xbar = table.word_image(double, bar_word(wx))
+        img_x = x.element(wx)
+        img_xbar = x.element(bar_word(wx))
         if lu.conjugate(img_x) != lux * lx.inverse():
             return False, ("unbarred", str(wu), str(wx))
         if lu.conjugate(img_xbar) != lx.inverse() * lux:
@@ -306,17 +319,16 @@ def engel_certificate(x: XRealization, guard: int | None = None,
     return report
 
 
-def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000,
-                        strategy: str = "hlt") -> dict:
+def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict:
     """Large-instance checks for a perfect base group (ArgumentError if the
     base is not perfect).
 
-    Instead of enumerating the double regularly (its order can be huge),
-    enumerate it over the split copy of the base: the cosets biject with the
-    letter-difference kernel L, so the index stays manageable.  The product
-    of the coset action with the triple map rho is faithful (the core of the
-    split copy meets the kernel of rho trivially), which lets the centrality
-    of W be verified honestly:
+    As in ``build``, the double is enumerated over the split copy of the
+    base: the cosets biject with the letter-difference kernel L, so the
+    index stays manageable.  The product of the coset action with the triple
+    map rho is faithful (the core of the split copy meets the kernel of rho
+    trivially), which lets the centrality of W be verified honestly without
+    enumerating X, which is beyond the element guard here:
 
     * the order of the image of rho (|G|^3 when rho is onto) gives |W|;
     * a coset word w gives the member pi(w)^-1 w of W = ker rho iff
@@ -326,15 +338,12 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000,
     The base is enumerated once; its table also supplies the witnesses of
     the double.
     """
-    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets,
-                                  strategy=strategy)
+    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
     G = perm_realization(base_table, guard=10 ** 7)
     if G.derived_subgroup().order() != G.order():
         raise ArgumentError("base group is not perfect")
     double = double_presentation(pres, element_witnesses(base_table))
-    split_gens = [Word([g]) for g in pres.generators]
-    table = enumerate_cosets(double, split_gens, max_cosets=max_cosets,
-                             strategy=strategy)
+    table = _split_copy_cosets(pres, double, max_cosets)
     index = table.n_cosets                      # = |L|
     x_order = index * G.order()
 

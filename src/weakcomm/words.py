@@ -225,15 +225,6 @@ def rho_word(w: Word) -> tuple[Word, Word, Word]:
     return Word(first), Word(second), Word(third)
 
 
-def structural_maps(w: Word) -> dict[str, object]:
-    return {
-        "bar": bar_word(w),
-        "pi": pi_word(w),
-        "pibar": pibar_word(w),
-        "rho": rho_word(w),
-    }
-
-
 # -- text form ---------------------------------------------------------------
 #
 # word     := factor*                     (juxtaposition; '*' optional)

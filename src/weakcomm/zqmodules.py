@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .errors import ArgumentError, SizeGuardError, WeakcommError
 from .intlinalg import FinAbGroup, IntMatrix, smith_normal_form
-from .permgroups import Perm, PermGroup, quotient_realization
+from .permgroups import Perm, PermGroup, abelian_invariants, quotient_realization
 
 Vector = tuple[int, ...]
 
@@ -429,7 +429,6 @@ def ell_module_consistency(x, guard: int | None = None) -> dict:
     v1 = aug_mod_I2(x.G, guard=guard)
     section = ell_section_module(x, guard=guard)
     v2 = section.module
-    from .permgroups import abelian_invariants
     quot, _ = quotient_realization(x.L, x.L.derived_subgroup())
     counted = abelian_invariants(quot)
     return {

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from weakcomm import cli, decision, enumerator
 from weakcomm.cli import main
+from weakcomm.presentations import parse_presentation
 
 
 def test_parse_command(capsys):
@@ -118,6 +120,24 @@ def test_wp_command(capsys):
     out = capsys.readouterr().out
     assert "[a,a~]: trivial" in out
     assert "a*a~: nontrivial" in out
+
+
+def test_wp_enumerates_the_base_once(monkeypatch, capsys):
+    enumerated = []
+    real = enumerator.enumerate_cosets
+
+    def counting(pres, *args, **kwargs):
+        enumerated.append(pres)
+        return real(pres, *args, **kwargs)
+
+    monkeypatch.setattr(enumerator, "enumerate_cosets", counting)
+    monkeypatch.setattr(decision, "enumerate_cosets", counting)
+    monkeypatch.setattr(cli, "enumerate_cosets", counting)
+    text = "< a, b | a^2, b^2, (a*b)^3 >"
+    assert main(["wp", "-p", text, "--word", "a*b~", "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert doc["oracle"] == "finite"
+    assert enumerated.count(parse_presentation(text)) == 1
 
 
 def test_wp_unknown_exit_code(capsys):

@@ -4,11 +4,17 @@ import pytest
 
 from weakcomm import enumerator, sidki
 from weakcomm.errors import ArgumentError
-from weakcomm.permgroups import commutator
+from weakcomm.permgroups import GroupHom, Perm, PermGroup, block_perm, commutator
 from weakcomm.presentations import parse_presentation
 from weakcomm.words import bar_word
 
-from .conftest import NILPOTENT_SUITE, SUITE_ORDERS
+from .conftest import NILPOTENT_SUITE, SUITE_ORDERS, SUITE_TEXT
+
+EXTRA_TEXT = {
+    "D5": "< r, s | r^5, s^2, (r*s)^2 >",
+    "C2xC4": "< a, b | a^2, b^4, [a, b] >",
+    "A4": "< a, b | a^2, b^3, (a*b)^3 >",
+}
 
 
 def test_build_c2_exact_orders(realizations):
@@ -51,9 +57,7 @@ def test_generator_commutators_suffice_for_d(realizations):
         all_pairs = []
         for wg in x.G_words:
             for wh in x.G_words:
-                u = x.table.word_image(x.double, wg)
-                v = x.table.word_image(x.double, bar_word(wh))
-                all_pairs.append(commutator(u, v))
+                all_pairs.append(commutator(x.element(wg), x.element(bar_word(wh))))
         full = x.X.subgroup(all_pairs)
         assert full.order() == x.D.order(), name
 
@@ -134,6 +138,56 @@ def test_each_pipeline_enumerates_the_base_once(monkeypatch):
         enumerated.clear()
         pipeline(base)
         assert enumerated.count(base) == 1, pipeline.__name__
+
+
+def test_build_enumerates_no_double_regularly(monkeypatch):
+    regular = []
+    real = enumerator.enumerate_cosets
+
+    def counting(pres, subgens=(), **kwargs):
+        if not subgens:
+            regular.append(pres)
+        return real(pres, subgens, **kwargs)
+
+    monkeypatch.setattr(sidki, "enumerate_cosets", counting)
+    base = parse_presentation(SUITE_TEXT["S3"])
+    x = sidki.build(base)
+    assert regular == [base]
+    assert x.X.degree == 108 // 6 + 3 * 6
+
+
+def _regular_orders(x) -> dict[str, int]:
+    """The orders of build's subgroups, recomputed on the regular
+    realization of the double: D and L as kernels, im rho elementwise."""
+    X = enumerator.perm_realization(enumerator.enumerate_cosets(x.double, []))
+    relators = [enumerator.signed_letters(x.double, r) for r in x.double.relators]
+    gens, deg = list(x.G.generators), x.G.degree
+    ident = Perm.identity(deg)
+    two = [block_perm([p, ident]) for p in gens] + [block_perm([ident, p]) for p in gens]
+    D = GroupHom(X, PermGroup(2 * deg, two), two, relators=relators).kernel()
+    L = GroupHom(X, x.G, gens + gens, relators=relators).kernel()
+    rho_images = sidki._rho_images(x.G)
+    rho = GroupHom(X, PermGroup(3 * deg, rho_images), rho_images, relators=relators)
+    return {"G": x.G.order(), "X": X.order(), "D": D.order(), "L": L.order(),
+            "W": D.intersection(L).order(),
+            "DL": X.subgroup(D.generators + L.generators).order(),
+            "im_rho": len({rho.image_of(p) for p in X.elements()})}
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
+def test_orders_match_the_regular_realization(realizations, name):
+    x = realizations.get(name) or sidki.build(parse_presentation(EXTRA_TEXT[name]))
+    assert x.orders() == _regular_orders(x)
+
+
+@pytest.mark.parametrize("text, x_order", [
+    ("< a, b | a^2, b^3, (a*b)^4 >", 13_824),             # S4
+    ("< a, b | a^3*b^-3, a^3*(a*b)^-2 >", 4_608),          # SL(2,3)
+])
+def test_build_larger_bases(text, x_order):
+    x = sidki.build(parse_presentation(text))
+    assert x.failed_checks() == []
+    assert x.X.order() == x_order
 
 
 def test_verification_report_shape(realizations):
