@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Long-running optional check: the double of the alternating group A5.
+"""Perfect-base check: the double of the alternating group A5.
 
 Enumerates the double over the split copy of the base (the coset count is
 the order of the letter-difference kernel, far below the group order),

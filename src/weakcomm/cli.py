@@ -95,11 +95,14 @@ def _resolve_double(pres: Presentation, config: RunConfig
     """Double the presentation under the configured witness policy.
 
     Default policy: one witness per element when the base enumerates within
-    budget; otherwise fall back to words of length <= 2, flagging that the
-    result may present a proper pre-image of the double.  The regular table
-    of the base comes back when it was enumerated, None otherwise.
+    budget; otherwise, or at once when its free rank is positive (the base is
+    infinite), fall back to words of length <= 2, flagging that the result
+    may present a proper pre-image of the double.  The regular table of the
+    base comes back when it was enumerated, None otherwise.
     """
     policy = AllElements() if config.witness is None else _parse_witness(config.witness)
+    if config.witness is None and abelianization(pres).free_rank:
+        policy = LengthBound(2)
     base_table = None
     if isinstance(policy, AllElements):
         require_unbarred(pres)  # before enumerating the base

@@ -2,22 +2,25 @@
 
 ``build`` enumerates a finite base group G regularly and its double X over
 the split copy of G, realizes X faithfully on those cosets times the triple
-map rho, extracts the structural subgroups
+map rho: g -> (g, g, 1), barg -> (1, g, g), extracts the structural subgroups
 
     D = kernel of X -> G x barG        (the commutator subgroup [G, barG])
     L = kernel of X -> G               (generated by the letter differences)
     W = D n L = kernel of rho          (abelian, central in DL)
 
-and machine-checks every structural identity the construction promises.  A
-failing check aborts with a witness: it would indicate an implementation
-bug, not a mathematical surprise.
+and machine-checks every structural identity the construction promises.  pi
+is rho's second coordinate and pi x pibar its first and third, and G acts
+regularly on each rho block, so L and D are the stabilizers of one point per
+block.  W has one more routine, ``_w_members``, shared with
+``perfect_base_report``: it reads the members of ker rho off the coset
+words.  A failing check aborts with a witness: it would indicate an
+implementation bug, not a mathematical surprise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Sequence
 
 from .enumerator import CosetTable, enumerate_cosets, perm_realization, signed_letters
 from .errors import ArgumentError, CheckFailure
@@ -70,15 +73,11 @@ class XRealization:
         }
 
 
-def _triple(parts: Sequence[Perm | None], degree: int) -> Perm:
-    ident = Perm.identity(degree)
-    return block_perm([p if p is not None else ident for p in parts])
-
-
 def _rho_images(G: PermGroup) -> list[Perm]:
     """rho on the generators of the double: g -> (g, g, 1), barg -> (1, g, g)."""
-    return [_triple([p, p, None], G.degree) for p in G.generators] + \
-           [_triple([None, p, p], G.degree) for p in G.generators]
+    one = Perm.identity(G.degree)
+    return [block_perm([p, p, one]) for p in G.generators] + \
+           [block_perm([one, p, p]) for p in G.generators]
 
 
 def _split_copy_cosets(pres: Presentation, double: Presentation,
@@ -96,7 +95,10 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     X is generated by the coset action on the split copy times rho, which is
     faithful because the split copy meets the kernel of rho trivially; its
     degree is [X : split copy] + 3 |G|.  CheckFailure when the generated
-    group is not of order [X : split copy] |G|.
+    group is not of order [X : split copy] |G|.  L and D are the elements of
+    X fixing the first point of rho block 1, and of blocks 0 and 2; W is
+    checked against ``_w_members``, and the centrality and image checks run
+    on generators.
     """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
@@ -110,7 +112,8 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     table = _split_copy_cosets(pres, double, max_cosets)
     index = table.n_cosets
     rho_images = _rho_images(G)
-    X = PermGroup(index + 3 * G.degree,
+    gdeg = G.degree
+    X = PermGroup(index + 3 * gdeg,
                   [block_perm([c, r]) for c, r in zip(table.action, rho_images)],
                   guard=guard)
     if X.order() != index * G.order():
@@ -124,34 +127,23 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     # pi: X -> G sending both copies of a generator to the generator
     pi = GroupHom(X, G, list(G.generators) + list(G.generators),
                   relators=signed_relators)
-
     # rho: X -> G x G x G with g -> (g, g, 1) and barg -> (1, g, g)
-    gdeg = G.degree
-    triple_gens = []
-    for slot in range(3):
-        for p in G.generators:
-            parts: list[Perm | None] = [None, None, None]
-            parts[slot] = p
-            triple_gens.append(_triple(parts, gdeg))
-    G3 = PermGroup(3 * gdeg, triple_gens, guard=max(guard, G.order() ** 3 + 1),
-                   known_order=G.order() ** 3)
-    rho = GroupHom(X, G3, rho_images, relators=signed_relators)
+    im_rho = PermGroup(3 * gdeg, rho_images, guard=max(guard, G.order() ** 3 + 1))
+    rho = GroupHom(X, im_rho, rho_images, relators=signed_relators)
 
-    L_ker = pi.kernel()
-    D_gens = [commutator(a, b) for a in x_images for b in xbar_images]
-    D_nc = X.normal_closure(D_gens)
-    # D as a kernel, independently: X -> G x barG
-    two_gens = [block_perm([p, Perm.identity(gdeg)]) for p in G.generators] + \
-               [block_perm([Perm.identity(gdeg), p]) for p in G.generators]
-    GG = PermGroup(2 * gdeg, two_gens, guard=max(guard, G.order() ** 2 + 1),
-                   known_order=G.order() ** 2)
-    pi_gg = GroupHom(X, GG, two_gens, relators=signed_relators)
-    D_ker = pi_gg.kernel()
+    # G is regular, so x is trivial in rho-coordinate k iff x fixes the
+    # first point of that block: pi is coordinate 1, pi x pibar are 0 and 2
+    def fixing(*coords: int) -> list[Perm]:
+        points = [index + k * gdeg for k in coords]
+        return [p for p in X.elements() if all(p.img[q] == q for q in points)]
+
+    L_ker = X.from_elements(fixing(1))
+    D_ker = X.from_elements(fixing(0, 2))
+    D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 
     W = D_ker.intersection(L_ker)
     DL = X.subgroup(list(D_ker.generators) + list(L_ker.generators))
     G_split = X.subgroup(x_images)
-    im_rho = rho.image()
     Q = abelianization(pres)
 
     x = XRealization(
@@ -185,25 +177,26 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
             break
     x.check("D_commutes_with_L_random_elements", bad_pair is None, bad_pair)
 
-    ker_rho = rho.kernel()
-    x.check("W_equals_kernel_of_rho",
-            W.order() == ker_rho.order() and
-            all(g in ker_rho.elements() for g in W.generators))
+    # W once more, independently of the block filters: traced coset words
+    w_members = {x.element(m) for m in _w_members(table, base_table)}
+    x.check("W_equals_kernel_of_rho", set(W.elements()) == w_members)
     x.check("W_is_abelian", W.is_abelian())
-    w_elems = list(W.elements())
-    x.check("W_central_in_DL",
-            all(w * g == g * w for w in w_elems for g in DL.generators))
+    x.check("W_central_in_DL", W.centralizes(DL))
 
     x.check("splitting_intersection_trivial",
             L_ker.intersection(G_split).order() == 1)
     x.check("splitting_orders", L_ker.order() * G_split.order() == X.order())
     x.check("split_copy_isomorphic_order", G_split.order() == G.order())
 
-    # image of rho is the fiber product over the abelianization
-    constraint = _constraint_subgroup_elements(G)
-    im_elems = set(im_rho.elements())
-    x.check("im_rho_equals_constraint_subgroup", im_elems == constraint,
-            witness=f"|im_rho|={len(im_elems)}, |constraint|={len(constraint)}")
+    # image of rho is the fiber product over the abelianization: the
+    # subgroup {(g1, g2, g3) : g1 g2^-1 g3 in G'} of order |G|^2 |G'|
+    derived = G.derived_subgroup()
+    constraint_order = G.order() ** 2 * derived.order()
+    x.check("im_rho_equals_constraint_subgroup",
+            all(g1 * g2.inverse() * g3 in derived
+                for g1, g2, g3 in (_coordinates(r, gdeg) for r in im_rho.generators))
+            and im_rho.order() == constraint_order,
+            witness=f"|im_rho|={im_rho.order()}, |constraint|={constraint_order}")
     q_order = Q.order()
     x.check("index_of_im_rho_is_Q",
             q_order is not None and G.order() ** 3 == im_rho.order() * q_order)
@@ -213,10 +206,8 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
                                         rng=rng)
     x.check("letter_difference_identity", ell_ok, ell_witness)
 
-    if G.is_perfect():
-        center_x = set(X.center().elements())
-        x.check("W_central_for_perfect_base",
-                all(w in center_x for w in w_elems))
+    if derived.order() == G.order():
+        x.check("W_central_for_perfect_base", W.centralizes(X))
 
     if raise_on_failure:
         failed = x.failed_checks()
@@ -225,39 +216,47 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     return x
 
 
-def _constraint_subgroup_elements(G: PermGroup) -> set[Perm]:
-    """{(g1, g2, g3) : g1 g2^-1 g3 in G'} built directly inside G x G x G."""
-    derived = set(G.derived_subgroup().elements())
-    elems = list(G.elements())
-    out = set()
-    for g1 in elems:
-        for g2 in elems:
-            h = g1 * g2.inverse()
-            for g3 in elems:
-                if h * g3 in derived:
-                    out.add(block_perm([g1, g2, g3]))
-    return out
+def _coordinates(p: Perm, degree: int) -> list[Perm]:
+    """The blocks of a block permutation whose blocks all have this degree."""
+    return [Perm(i - k for i in p.img[k:k + degree])
+            for k in range(0, p.degree, degree)]
+
+
+def _w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
+    """Words for the members of W = ker rho, one per member.
+
+    Each coset w of the split copy holds one element of L, pi(w)^-1 w, and it
+    lies in W iff rho_word(w) = (pi w, pi w, 1); the base table is regular,
+    so words are equal in G iff they reach one coset from coset 0.
+    """
+    members: list[Word] = []
+    for w in table.coset_words():
+        p = pi_word(w)
+        first, second, third = (base_table.trace_word(0, u) for u in rho_word(w))
+        if first == second == base_table.trace_word(0, p) and third == 0:
+            members.append(p.inverse() * w)
+    return members
 
 
 def _ell_identity(x: XRealization, samples: int | None, rng: Random
                   ) -> tuple[bool, tuple | None]:
     """Both conjugation identities for letter differences:
     l_u^x = l_{ux} l_x^-1   and   l_u^{bar x} = l_x^-1 l_{ux}."""
-    pairs = []
+    n = len(x.G_elements)
     if samples is None:
-        pairs = [(i, j) for i in range(len(x.G_elements))
-                 for j in range(len(x.G_elements))]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
-        n = len(x.G_elements)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    # the images of x and bar x in X, once per base element
+    images = {j: (x.element(x.G_words[j]), x.element(bar_word(x.G_words[j])))
+              for j in {j for _, j in pairs}}
     for i, j in pairs:
         u, xg = x.G_elements[i], x.G_elements[j]
         wu, wx = x.G_words[i], x.G_words[j]
         lu = x.ell_images[u]
         lx = x.ell_images[xg]
         lux = x.ell_images[u * xg]
-        img_x = x.element(wx)
-        img_xbar = x.element(bar_word(wx))
+        img_x, img_xbar = images[j]
         if lu.conjugate(img_x) != lux * lx.inverse():
             return False, ("unbarred", str(wu), str(wx))
         if lu.conjugate(img_xbar) != lx.inverse() * lux:
@@ -331,8 +330,8 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
     enumerating X, which is beyond the element guard here:
 
     * the order of the image of rho (|G|^3 when rho is onto) gives |W|;
-    * a coset word w gives the member pi(w)^-1 w of W = ker rho iff
-      rho_word(w) = (pi w, pi w, 1), read off the regular table of the base;
+    * the members of W = ker rho come from ``_w_members``, the routine
+      ``build`` checks W with;
     * every member of W commutes with all generators.
 
     The base is enumerated once; its table also supplies the witnesses of
@@ -354,23 +353,13 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
     if rem:
         raise CheckFailure("order_product", (x_order, im_rho_order))
 
-    # the base table is regular: words are equal in G iff they reach one coset
-    w_members: list[Word] = []
-    for w in table.coset_words():
-        p = pi_word(w)
-        first, second, third = (base_table.trace_word(0, u) for u in rho_word(w))
-        if first == second == base_table.trace_word(0, p) and third == 0:
-            # the L-part of this coset lies in the kernel of the triple map
-            w_members.append(p.inverse() * w)
+    w_members = _w_members(table, base_table)
     if len(w_members) != w_order:
         raise CheckFailure("W_member_count", (len(w_members), w_order))
 
-    central = True
-    for lw in w_members:
-        lp = table.word_image_unchecked(lw)
-        if any(lp * gp != gp * lp for gp in table.action):
-            central = False
-            break
+    central = all(lp * gp == gp * lp
+                  for lp in map(table.word_image_unchecked, w_members)
+                  for gp in table.action)
     return {
         "group_order": G.order(),
         "index_of_split_copy": index,

@@ -44,6 +44,25 @@ def closure(gens):
     return found
 
 
+def constraint_subgroup(gens):
+    """{(g1, g2, g3) : g1 g2^-1 g3 in G'} for G generated by the permutation
+    tuples, each triple as one tuple acting blockwise on three copies of the
+    points (the second block shifted by the degree, the third by twice it)."""
+    elems = closure(gens)
+    degree = len(gens[0])
+    derived = closure([pcompose(pcompose(pinverse(a), pinverse(b)), pcompose(a, b))
+                       for a in elems for b in elems])
+    out = set()
+    for g1 in elems:
+        for g2 in elems:
+            h = pcompose(g1, pinverse(g2))
+            for g3 in elems:
+                if pcompose(h, g3) in derived:
+                    out.add(g1 + tuple(degree + x for x in g2)
+                            + tuple(2 * degree + x for x in g3))
+    return out
+
+
 def s3_generators():
     """(0 1) and (1 2) acting on three points."""
     return [(1, 0, 2), (0, 2, 1)]

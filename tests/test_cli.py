@@ -140,6 +140,34 @@ def test_wp_enumerates_the_base_once(monkeypatch, capsys):
     assert enumerated.count(parse_presentation(text)) == 1
 
 
+def test_infinite_base_doubles_without_enumerating(monkeypatch, capsys):
+    enumerated = []
+    real = enumerator.enumerate_cosets
+
+    def counting(pres, *args, **kwargs):
+        enumerated.append(pres)
+        return real(pres, *args, **kwargs)
+
+    monkeypatch.setattr(enumerator, "enumerate_cosets", counting)
+    monkeypatch.setattr(cli, "enumerate_cosets", counting)
+    assert main(["double", "-p", "< a | >", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert enumerated == []
+    doc = json.loads(out[out.index("\n{") + 1:])
+    assert doc["meta"] == {"witness_policy": "len:2", "may_be_preimage": True}
+    # an explicit policy still enumerates, up to the budget
+    assert main(["double", "-p", "< a | >", "--witness", "all",
+                 "--max-cosets", "50"]) == 2
+    assert len(enumerated) == 1
+    assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_growth_of_an_infinite_double_fails_fast(capsys):
+    assert main(["growth", "--double", "-p", "< a, b | [a,b] >",
+                 "--radius", "3"]) == 2
+    assert "free rank 4" in capsys.readouterr().err
+
+
 def test_wp_unknown_exit_code(capsys):
     code = main(["wp", "-p", "<a|a^2>", "--word", "(a*a~)^2", "--budget", "3"])
     assert code == 2

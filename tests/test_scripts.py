@@ -12,6 +12,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("script, args", [
     ("run_structure_suite.py", ["--engel"]),
     ("growth_experiment.py", ["--radius", "4"]),
+    ("perfect_base_run.py", []),
 ])
 def test_script_runs(tmp_path, script, args):
     if script == "run_structure_suite.py":

@@ -8,6 +8,7 @@ from weakcomm.permgroups import GroupHom, Perm, PermGroup, block_perm, commutato
 from weakcomm.presentations import parse_presentation
 from weakcomm.words import bar_word
 
+from . import oracles
 from .conftest import NILPOTENT_SUITE, SUITE_ORDERS, SUITE_TEXT
 
 EXTRA_TEXT = {
@@ -36,11 +37,38 @@ def test_order_product_identity(realizations):
         assert o["X"] == o["W"] * o["im_rho"], name
 
 
+def _realization(realizations, name):
+    return realizations.get(name) or sidki.build(parse_presentation(EXTRA_TEXT[name]))
+
+
 def test_s3_image_of_rho(realizations):
     x = realizations["S3"]
     assert x.im_rho.order() == 108
     assert x.G.order() ** 3 // x.im_rho.order() == 2 == x.Q.order()
-    assert set(x.im_rho.elements()) == sidki._constraint_subgroup_elements(x.G)
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
+def test_image_of_rho_is_the_constraint_subgroup(realizations, name):
+    x = _realization(realizations, name)
+    expected = oracles.constraint_subgroup([g.img for g in x.G.generators])
+    assert {p.img for p in x.im_rho.elements()} == expected
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
+def test_kernels_match_the_hom_kernels(realizations, name):
+    """L, D and the W members of build against GroupHom.kernel, which
+    evaluates pi, pi x pibar and rho on a word for every element of X."""
+    x = _realization(realizations, name)
+    gens, one = list(x.G.generators), Perm.identity(x.G.degree)
+    two = [block_perm([p, one]) for p in gens] + [block_perm([one, p]) for p in gens]
+    pi_pibar = GroupHom(x.X, PermGroup(2 * x.G.degree, two), two)
+    assert set(x.L.elements()) == set(x.pi.kernel().elements())
+    assert set(x.D.elements()) == set(pi_pibar.kernel().elements())
+    base_table = enumerator.enumerate_cosets(x.presentation, [])
+    table = sidki._split_copy_cosets(x.presentation, x.double, 10 ** 6)
+    members = [x.element(m) for m in sidki._w_members(table, base_table)]
+    assert len(set(members)) == len(members)
+    assert set(members) == set(x.rho.kernel().elements()) == set(x.W.elements())
 
 
 def test_c2xc2_recorded_values(realizations):
@@ -176,7 +204,7 @@ def _regular_orders(x) -> dict[str, int]:
 
 @pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
 def test_orders_match_the_regular_realization(realizations, name):
-    x = realizations.get(name) or sidki.build(parse_presentation(EXTRA_TEXT[name]))
+    x = _realization(realizations, name)
     assert x.orders() == _regular_orders(x)
 
 
