@@ -3,10 +3,12 @@
 Every command reads a presentation (inline via -p or from a file), runs one
 pipeline, prints a human summary to stdout, and can write a versioned JSON
 report.  Exit codes: 0 all asserted checks pass; 1 a mathematical assertion
-failed (witness in the report); 2 budget or guard exhausted; 3 usage error,
+failed (witness in the report); 2 budget or guard exhausted, including a
+group that is infinite because its free rank is positive; 3 usage error,
 including a file that cannot be read, decoded or written, malformed JSON in
-``--config`` or a ``--check`` certificate, and a config value of the wrong
-type.
+``--config`` or a ``--check`` certificate, a config value of the wrong type,
+and a word over letters outside the alphabet; 4 internal error, any other
+``WeakcommError``, with a one-line message on stderr.
 Reports embed the configuration and are byte-identical for identical runs.
 """
 
@@ -22,8 +24,9 @@ from .decision import (FiniteRealizationOracle, WPSetup, ball_sizes,
                        growth_classifier, oracle_for_presentation,
                        xg_word_problem)
 from .enumerator import CosetTable, enumerate_cosets
-from .errors import (ArgumentError, CheckFailure, EnumerationOverflow,
-                     ParseError, SizeGuardError, WeakcommError)
+from .errors import (AlphabetError, ArgumentError, CheckFailure,
+                     EnumerationOverflow, ParseError, SizeGuardError,
+                     WeakcommError)
 from .intlinalg import FinAbGroup
 from .isoperimetry import (AreaCertificate, GRID_PRESENTATION,
                            check_certificate, grid_certificate,
@@ -32,7 +35,7 @@ from .presentations import (AllElements, LengthBound, Presentation,
                             abelianization, double_presentation,
                             element_witnesses, format_presentation,
                             parse_presentation, presentation_to_json,
-                            require_unbarred, sidki_double)
+                            require_finite, require_unbarred, sidki_double)
 from .words import parse_word
 
 SCHEMA_VERSION = 1
@@ -163,6 +166,7 @@ def _cmd_realize(args, config: RunConfig) -> int:
     meta: dict = {}
     if args.double:
         pres, meta, _ = _resolve_double(pres, config)
+    require_finite(pres, config.max_cosets)
     table = enumerate_cosets(pres, [], max_cosets=config.max_cosets,
                              strategy=args.strategy)
     print(f"cosets: {table.n_cosets} (strategy {args.strategy})")
@@ -376,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(config, attr, value)
         config.validate()
         return _COMMANDS[args.command](args, config)
-    except (ParseError, ArgumentError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ArgumentError, AlphabetError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except (EnumerationOverflow, SizeGuardError) as exc:
@@ -385,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except WeakcommError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

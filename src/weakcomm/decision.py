@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .enumerator import CosetTable, enumerate_cosets, signed_letters
-from .errors import (ArgumentError, EnumerationOverflow, SizeGuardError,
-                     WeakcommError)
+from .errors import ArgumentError, EnumerationOverflow, WeakcommError
 from .isoperimetry import AreaCertificate, minimal_area_search
 from .permgroups import Perm, evaluate
-from .presentations import Presentation, abelianization
+from .presentations import Presentation, require_finite
 from .words import GenSymbol, Word, commutator, rho_word
 
 
@@ -109,8 +108,8 @@ def oracle_for_presentation(pres: Presentation, max_cosets: int = 10 ** 6
                             ) -> tuple[WPOracle, str]:
     """Pick a sound oracle: free, free-abelian (literal commutator relators
     with zero exponent sums), or a finite realization by enumeration.
-    SizeGuardError, before enumerating, when the free rank is positive: the
-    group is infinite, so no coset budget suffices."""
+    SizeGuardError from ``require_finite``, before enumerating, when the
+    free rank is positive."""
     if not pres.relators:
         return FreeGroupOracle(pres.generators), "free"
     gens = pres.generators
@@ -123,8 +122,7 @@ def oracle_for_presentation(pres: Presentation, max_cosets: int = 10 ** 6
                       for x, y in pairs_needed)
         if covered and pairs_needed:
             return FreeAbelianOracle(gens), "free-abelian"
-    if free_rank := abelianization(pres).free_rank:
-        raise SizeGuardError(f"infinite (free rank {free_rank})", max_cosets)
+    require_finite(pres, max_cosets)
     table = enumerate_cosets(pres, [], max_cosets=max_cosets)
     return FiniteRealizationOracle(pres, table), "finite"
 

@@ -3,17 +3,23 @@
 The default strategy is HLT (scan-and-fill every relator at every live
 coset) with a lookahead pass and table compaction when the live-coset count
 approaches the budget; a Felsch-style deduction-stack strategy is available
-as an alternative.  Coincidences are processed with a path-compressed
-union-find.  Cosets are numbered in discovery order and dead cosets are
-compacted away before the table is published, so output is deterministic for
-a fixed strategy and input order.
+as an alternative.  Felsch defines the first undefined entry, which it finds
+with a forward pointer over the rows, as HLT does.  Coincidences are
+processed with a path-compressed union-find.
+
+The table is stored column-major, one list per column: column 2i is
+generator i, column 2i+1 its inverse, and -1 marks an undefined entry.
+Publishing compacts it (cosets renumbered in discovery order, dead rows
+dropped), checks that it is closed and hands the columns to ``CosetTable``
+as they are, so output is deterministic for a fixed strategy and input
+order.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
@@ -40,10 +46,6 @@ def _columns(p: Presentation, w: Word) -> tuple[int, ...]:
                  for s in signed_letters(p, w))
 
 
-def _inv_col(x: int) -> int:
-    return x ^ 1
-
-
 # HLT renumbers the table mid-run once more than this many rows are dead and
 # dead rows are more than half of all rows
 COMPACT_THRESHOLD = 4096
@@ -51,28 +53,35 @@ COMPACT_THRESHOLD = 4096
 
 @dataclass
 class CosetTable:
-    """A closed coset table: one permutation of cosets per generator."""
+    """A closed coset table, stored as the enumeration left it.
+
+    ``columns[2*i]`` is the permutation of the cosets by generator i and
+    ``columns[2*i + 1]`` the one by its inverse; cosets are numbered in
+    discovery order and coset 0 is the subgroup.
+    """
 
     n_cosets: int
-    action: list[Perm]             # one permutation per generator, forward
+    columns: tuple[tuple[int, ...], ...]
     generators: tuple[GenSymbol, ...]
     subgroup_words: tuple[Word, ...]
+    # (name, bar, sign) of a letter -> its column
+    _letter_columns: dict = field(init=False, repr=False, compare=False)
 
-    def _letter_maps(self) -> dict[tuple[str, bool, int], tuple[int, ...]]:
-        maps = getattr(self, "_letter_cache", None)
-        if maps is None:
-            maps = {}
-            for g, perm in zip(self.generators, self.action):
-                maps[(g.name, g.bar, 1)] = perm.img
-                maps[(g.name, g.bar, -1)] = perm.inverse().img
-            object.__setattr__(self, "_letter_cache", maps)
-        return maps
+    def __post_init__(self):
+        self._letter_columns = {
+            (g.name, g.bar, sign): self.columns[2 * i + (sign < 0)]
+            for i, g in enumerate(self.generators) for sign in (1, -1)}
+
+    @property
+    def action(self) -> list[Perm]:
+        """One permutation per generator, forward."""
+        return [Perm(col) for col in self.columns[0::2]]
 
     def trace_word(self, start: int, w: Word) -> int:
-        maps = self._letter_maps()
+        cols = self._letter_columns
         c = start
         for sym in w:
-            c = maps[(sym.name, sym.bar, sym.sign)][c]
+            c = cols[(sym.name, sym.bar, sym.sign)][c]
         return c
 
     def is_trivial_word(self, w: Word) -> bool:
@@ -83,11 +92,11 @@ class CosetTable:
         return self.trace_word(0, w) == 0
 
     def word_image_unchecked(self, w: Word) -> Perm:
-        maps = self._letter_maps()
-        cur = list(range(self.n_cosets))
+        cols = self._letter_columns
+        cur = range(self.n_cosets)
         for sym in w:
-            m = maps[(sym.name, sym.bar, sym.sign)]
-            cur = [m[c] for c in cur]
+            col = cols[(sym.name, sym.bar, sym.sign)]
+            cur = [col[c] for c in cur]
         return Perm(cur)
 
     def word_image(self, p: Presentation, w: Word) -> Perm:
@@ -96,17 +105,14 @@ class CosetTable:
 
     def coset_words(self) -> list[Word]:
         """One representative word per coset, BFS-shortest, discovery order."""
-        letters: list[tuple[GenSymbol, Perm]] = []
-        for g, perm in zip(self.generators, self.action):
-            letters.append((GenSymbol(g.name, g.bar, 1), perm))
-            letters.append((GenSymbol(g.name, g.bar, -1), perm.inverse()))
+        letters = [(GenSymbol(*key), col) for key, col in self._letter_columns.items()]
         words: list[Word | None] = [None] * self.n_cosets
         words[0] = Word()
         queue = deque([0])
         while queue:
             c = queue.popleft()
-            for sym, perm in letters:
-                d = perm.img[c]
+            for sym, col in letters:
+                d = col[c]
                 if words[d] is None:
                     words[d] = words[c] * Word([sym])
                     queue.append(d)
@@ -118,8 +124,8 @@ class CosetTable:
         doc = {
             "schema_version": 1,
             "n_cosets": self.n_cosets,
-            "action": {g.name + ("~" if g.bar else ""): list(perm.img)
-                       for g, perm in zip(self.generators, self.action)},
+            "action": {g.name + ("~" if g.bar else ""): list(col)
+                       for g, col in zip(self.generators, self.columns[0::2])},
             "subgroup": [str(w) for w in self.subgroup_words],
         }
         return json.dumps(doc, sort_keys=True, indent=2)
@@ -132,8 +138,10 @@ class _Enumeration:
         self.relators = [_columns(pres, r) for r in pres.relators]
         self.subgens = [_columns(pres, w) for w in subgens]
         self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * self.ncols]
-        self.p = [0]                     # union-find
+        # column-major: table[x][a] is the image of coset a under column x,
+        # -1 while undefined
+        self.table: list[list[int]] = [[-1] for _ in range(self.ncols)]
+        self.p = [0]                     # union-find; one entry per row
         self.n_dead = 0
         self.track_deductions = False    # only Felsch consumes the stack
         self.deductions: deque[tuple[int, int]] = deque()
@@ -152,23 +160,37 @@ class _Enumeration:
         return self.p[a] == a
 
     def n_live(self) -> int:
-        return len(self.table) - self.n_dead
+        return len(self.p) - self.n_dead
+
+    def image(self, a: int, word: tuple[int, ...]) -> int:
+        """Where a closed table sends coset a under a word of columns."""
+        for x in word:
+            a = self.table[x][a]
+        return a
+
+    def first_undefined(self, a: int) -> int | None:
+        """The first column undefined at coset a, None when its row is full."""
+        for x, col in enumerate(self.table):
+            if col[a] < 0:
+                return x
+        return None
 
     # table primitives ------------------------------------------------------
 
     def define(self, a: int, x: int) -> int:
         if self.n_live() >= self.max_cosets:
             raise EnumerationOverflow(self.max_cosets)
-        b = len(self.table)
-        self.table.append([None] * self.ncols)
+        b = len(self.p)
+        for col in self.table:
+            col.append(-1)
         self.p.append(b)
-        self.table[a][x] = b
-        self.table[b][_inv_col(x)] = a
+        self.table[x][a] = b
+        self.table[x ^ 1][b] = a
         return b
 
     def set_entry(self, a: int, x: int, b: int) -> None:
-        self.table[a][x] = b
-        self.table[b][_inv_col(x)] = a
+        self.table[x][a] = b
+        self.table[x ^ 1][b] = a
         if self.track_deductions:
             self.deductions.append((a, x))
 
@@ -183,38 +205,40 @@ class _Enumeration:
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
+        t = self.table
         queue: deque[int] = deque()
         self.merge(a, b, queue)
         while queue:
             dead = queue.popleft()
             for x in range(self.ncols):
-                d = self.table[dead][x]
-                if d is None:
+                d = t[x][dead]
+                if d < 0:
                     continue
-                self.table[d][_inv_col(x)] = None
+                t[x ^ 1][d] = -1
                 mu, nu = self.find(dead), self.find(d)
-                if self.table[mu][x] is not None:
-                    self.merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][_inv_col(x)] is not None:
-                    self.merge(mu, self.table[nu][_inv_col(x)], queue)
+                if t[x][mu] >= 0:
+                    self.merge(nu, t[x][mu], queue)
+                elif t[x ^ 1][nu] >= 0:
+                    self.merge(mu, t[x ^ 1][nu], queue)
                 else:
                     self.set_entry(mu, x, nu)
 
     # scanning ----------------------------------------------------------------
 
     def scan(self, a: int, word: tuple[int, ...], fill: bool) -> None:
+        t = self.table
         f, i = a, 0
         b, j = a, len(word) - 1
         while True:
-            while i <= j and self.table[f][word[i]] is not None:
-                f = self.table[f][word[i]]
+            while i <= j and t[word[i]][f] >= 0:
+                f = t[word[i]][f]
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][_inv_col(word[j])] is not None:
-                b = self.table[b][_inv_col(word[j])]
+            while j >= i and t[word[j] ^ 1][b] >= 0:
+                b = t[word[j] ^ 1][b]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -233,7 +257,7 @@ class _Enumeration:
             self.scan(0, w, fill=True)
         a = 0
         lookaheads_left = 3
-        while a < len(self.table):
+        while a < len(self.p):
             if not self.alive(a):
                 a += 1
                 continue
@@ -244,7 +268,7 @@ class _Enumeration:
                         break
                 if self.alive(a):
                     for x in range(self.ncols):
-                        if self.table[a][x] is None:
+                        if self.table[x][a] < 0:
                             self.define(a, x)
             except EnumerationOverflow:
                 # lookahead: hunt for coincidences without defining cosets
@@ -258,11 +282,11 @@ class _Enumeration:
                 a = self.compact(0)
                 continue
             a += 1
-            if self.n_dead > COMPACT_THRESHOLD and self.n_dead > len(self.table) // 2:
+            if self.n_dead > COMPACT_THRESHOLD and self.n_dead > len(self.p) // 2:
                 a = self.compact(a)
 
     def lookahead(self) -> None:
-        for a in range(len(self.table)):
+        for a in range(len(self.p)):
             if not self.alive(a):
                 continue
             for r in self.relators:
@@ -271,29 +295,23 @@ class _Enumeration:
                     break
 
     def compact(self, pointer: int) -> int:
-        """Renumber live cosets, dropping dead rows; returns the new pointer."""
-        live = [a for a in range(len(self.table)) if self.alive(a)]
-        renumber = {a: i for i, a in enumerate(live)}
-        new_pointer = sum(1 for a in live if a < pointer)
-        new_table = []
-        for a in live:
-            row = self.table[a]
-            new_table.append([renumber[self.find(b)] if b is not None else None
-                              for b in row])
-        if self.track_deductions:
-            self.deductions = deque(
-                (renumber[self.find(a)], x) for a, x in self.deductions)
-        self.table = new_table
+        """Renumber live cosets in order, dropping dead rows and pointing
+        every entry at its live coset; returns the new pointer."""
+        live = [a for a in range(len(self.p)) if self.alive(a)]
+        index = dict(zip(live, range(len(live))))
+        # the trailing -1 is what index -1, an undefined entry, maps to
+        renumber = [index[self.find(b)] for b in range(len(self.p))] + [-1]
+        self.table = [[renumber[col[a]] for a in live] for col in self.table]
         self.p = list(range(len(live)))
         self.n_dead = 0
-        return new_pointer
+        return sum(1 for a in live if a < pointer)
 
     def run_felsch(self) -> None:
         self.track_deductions = True
-        rotations: dict[int, list[tuple[int, ...]]] = {x: [] for x in range(self.ncols)}
+        rotations: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
         seen = set()
         for r in self.relators:
-            for base in (r, tuple(_inv_col(x) for x in reversed(r))):
+            for base in (r, tuple(x ^ 1 for x in reversed(r))):
                 for k in range(len(base)):
                     rot = base[k:] + base[:k]
                     if rot not in seen:
@@ -302,78 +320,44 @@ class _Enumeration:
         for w in self.subgens:
             self.scan(0, w, fill=True)
         self._process_deductions(rotations)
-        while True:
-            target = None
-            for a in range(len(self.table)):
-                if self.alive(a):
-                    for x in range(self.ncols):
-                        if self.table[a][x] is None:
-                            target = (a, x)
-                            break
-                if target:
-                    break
-            if target is None:
-                return
-            self.define(*target)
-            self.deductions.append(target)
+        # coincidences keep a live row full, so every live row behind the
+        # pointer stays full and the pointer finds the first undefined entry
+        a = 0
+        while a < len(self.p):
+            x = self.first_undefined(a) if self.alive(a) else None
+            if x is None:
+                a += 1
+                continue
+            self.define(a, x)
+            self.deductions.append((a, x))
             self._process_deductions(rotations)
 
     def _process_deductions(self, rotations) -> None:
         while self.deductions:
             a, x = self.deductions.popleft()
-            if not self.alive(a):
-                a = self.find(a)
-            for rot in rotations.get(x, ()):
+            for rot in rotations[x]:
                 self.scan(self.find(a), rot, fill=False)
-            b = self.table[self.find(a)][x]
-            if b is not None:
-                for rot in rotations.get(_inv_col(x), ()):
+            b = self.table[x][self.find(a)]
+            if b >= 0:
+                for rot in rotations[x ^ 1]:
                     self.scan(self.find(b), rot, fill=False)
 
     # publication ---------------------------------------------------------
 
-    def verify_closed(self) -> None:
-        for a in range(len(self.table)):
-            if not self.alive(a):
-                continue
-            for x in range(self.ncols):
-                if self.table[a][x] is None or not self.alive(self.table[a][x]):
-                    raise WeakcommError("internal error: open or stale table entry")
-            for r in self.relators:
-                c = a
-                for x in r:
-                    c = self.table[c][x]
-                c = self.find(c)
-                if c != a:
-                    raise WeakcommError("internal error: relator does not close")
-        for w in self.subgens:
-            c = 0
-            for x in w:
-                c = self.table[c][x]
-            if self.find(c) != 0:
-                raise WeakcommError("internal error: subgroup word moves coset 0")
-
-    def normalize_entries(self) -> None:
-        for a in range(len(self.table)):
-            if not self.alive(a):
-                continue
-            for x in range(self.ncols):
-                b = self.table[a][x]
-                if b is not None and not self.alive(b):
-                    self.table[a][x] = self.find(b)
-
     def publish(self, subgroup_words: Sequence[Word]) -> CosetTable:
-        self.normalize_entries()
-        self.verify_closed()
-        live = [a for a in range(len(self.table)) if self.alive(a)]
-        renumber = {a: i for i, a in enumerate(live)}
-        action = []
-        for g in range(len(self.pres.generators)):
-            col = 2 * g
-            action.append(Perm([renumber[self.table[a][col]] for a in live]))
+        """Compact the table and check that it is closed: every entry is
+        defined, every relator closes at every coset and every subgroup word
+        fixes coset 0."""
+        self.compact(0)
+        if any(-1 in col for col in self.table):
+            raise WeakcommError("open coset table entry")
+        if any(self.image(a, r) != a for r in self.relators for a in range(len(self.p))):
+            raise WeakcommError("relator does not close")
+        if any(self.image(0, w) != 0 for w in self.subgens):
+            raise WeakcommError("subgroup word moves coset 0")
         return CosetTable(
-            n_cosets=len(live),
-            action=action,
+            n_cosets=len(self.p),
+            columns=tuple(map(tuple, self.table)),
             generators=self.pres.generators,
             subgroup_words=tuple(subgroup_words),
         )
@@ -386,8 +370,6 @@ def enumerate_cosets(pres: Presentation, subgens: Sequence[Word] = (),
 
     Raises EnumerationOverflow when live cosets exceed the budget.
     """
-    for w in subgens:
-        _columns(pres, w)  # validate alphabets early
     enum = _Enumeration(pres, subgens, max_cosets)
     if strategy == "hlt":
         enum.run_hlt()

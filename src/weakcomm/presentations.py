@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, ParseError, SizeGuardError
 from .intlinalg import FinAbGroup, IntMatrix, cokernel
 from .words import (GenSymbol, Word, bar_word, commutator, format_word,
                     parse_word, reduced_words)
@@ -229,6 +229,13 @@ def exponent_matrix(p: Presentation) -> IntMatrix:
 
 def abelianization(p: Presentation) -> FinAbGroup:
     return cokernel(exponent_matrix(p))
+
+
+def require_finite(p: Presentation, max_cosets: int) -> None:
+    """SizeGuardError when the free rank is positive: the group is infinite,
+    so no coset budget suffices and enumerating would only exhaust it."""
+    if free_rank := abelianization(p).free_rank:
+        raise SizeGuardError(f"infinite (free rank {free_rank})", max_cosets)
 
 
 def _renamed(p: Presentation, suffix: str) -> Presentation:

@@ -239,10 +239,6 @@ def aug_mod_I2(group: PermGroup, acting_labels: Sequence[str] | None = None,
     basis = [e for e in elems if e != ident]
     index = {e: i for i, e in enumerate(basis)}
     n = len(basis)
-
-    def delta(x: Perm) -> dict[int, int]:
-        return {} if x == ident else {index[x]: 1}
-
     relations: list[Vector] = []
     seen: set[Vector] = set()
     for g in basis:  # (1-1)^2 h = 0 adds nothing, so g runs over the basis

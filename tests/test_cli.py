@@ -4,7 +4,23 @@ import pytest
 
 from weakcomm import cli, decision, enumerator
 from weakcomm.cli import main
+from weakcomm.errors import AlphabetError, WeakcommError
 from weakcomm.presentations import parse_presentation
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The presentations that enumerate_cosets is called on, in order."""
+    calls = []
+    real = enumerator.enumerate_cosets
+
+    def counting(pres, *args, **kwargs):
+        calls.append(pres)
+        return real(pres, *args, **kwargs)
+
+    for module in (enumerator, decision, cli):
+        monkeypatch.setattr(module, "enumerate_cosets", counting)
+    return calls
 
 
 def test_parse_command(capsys):
@@ -122,17 +138,7 @@ def test_wp_command(capsys):
     assert "a*a~: nontrivial" in out
 
 
-def test_wp_enumerates_the_base_once(monkeypatch, capsys):
-    enumerated = []
-    real = enumerator.enumerate_cosets
-
-    def counting(pres, *args, **kwargs):
-        enumerated.append(pres)
-        return real(pres, *args, **kwargs)
-
-    monkeypatch.setattr(enumerator, "enumerate_cosets", counting)
-    monkeypatch.setattr(decision, "enumerate_cosets", counting)
-    monkeypatch.setattr(cli, "enumerate_cosets", counting)
+def test_wp_enumerates_the_base_once(enumerated, capsys):
     text = "< a, b | a^2, b^2, (a*b)^3 >"
     assert main(["wp", "-p", text, "--word", "a*b~", "--json", "-"]) == 0
     doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
@@ -140,16 +146,7 @@ def test_wp_enumerates_the_base_once(monkeypatch, capsys):
     assert enumerated.count(parse_presentation(text)) == 1
 
 
-def test_infinite_base_doubles_without_enumerating(monkeypatch, capsys):
-    enumerated = []
-    real = enumerator.enumerate_cosets
-
-    def counting(pres, *args, **kwargs):
-        enumerated.append(pres)
-        return real(pres, *args, **kwargs)
-
-    monkeypatch.setattr(enumerator, "enumerate_cosets", counting)
-    monkeypatch.setattr(cli, "enumerate_cosets", counting)
+def test_infinite_base_doubles_without_enumerating(enumerated, capsys):
     assert main(["double", "-p", "< a | >", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert enumerated == []
@@ -166,6 +163,34 @@ def test_growth_of_an_infinite_double_fails_fast(capsys):
     assert main(["growth", "--double", "-p", "< a, b | [a,b] >",
                  "--radius", "3"]) == 2
     assert "free rank 4" in capsys.readouterr().err
+
+
+def test_realize_refuses_an_infinite_group_before_enumerating(enumerated, capsys):
+    assert main(["realize", "-p", "< a, b | [a,b] >"]) == 2
+    assert "infinite (free rank 2)" in capsys.readouterr().err
+    assert main(["realize", "--double", "-p", "< a | >"]) == 2
+    assert "infinite (free rank 2)" in capsys.readouterr().err
+    assert enumerated == []
+    # a finite group still enumerates, up to the budget
+    assert main(["realize", "-p", "< a | a^100 >", "--max-cosets", "50"]) == 2
+    assert len(enumerated) == 1
+    assert "exceeded budget of 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (AlphabetError("symbol c not in declared alphabet"), 3, "usage error"),
+    (WeakcommError("coset table is not transitive"), 4, "internal error"),
+], ids=["AlphabetError", "WeakcommError"])
+def test_library_errors_end_in_their_exit_code(monkeypatch, capsys, error, code,
+                                               label):
+    def failing(args, config):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "parse", failing)
+    assert main(["parse", "-p", "< a | >"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{label}: {error}\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_wp_unknown_exit_code(capsys):

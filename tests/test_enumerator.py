@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -14,6 +15,7 @@ from .oracles import closure, s3_generators
 S3 = parse_presentation("< a, b | a^2, b^2, (a*b)^3 >")
 C3 = parse_presentation("< a | a^3 >")
 XC2 = sidki_double(parse_presentation("< a | a^2 >"), AllElements())
+COLLAPSE = parse_presentation("< a, b | a^3, b^3, (a*b)^4, (a*b^-1)^5, a*b*a^-2*b*a >")
 
 
 def test_cyclic_three_cosets():
@@ -114,10 +116,9 @@ def test_table_json_export():
 
 def test_lookahead_and_compaction_path():
     # collapses massively after wandering: exercises coincidence storms
-    p = parse_presentation("< a, b | a^3, b^3, (a*b)^4, (a*b^-1)^5, a*b*a^-2*b*a >")
-    t = enumerate_cosets(p, [], max_cosets=200_000)
+    t = enumerate_cosets(COLLAPSE, [], max_cosets=200_000)
     assert t.n_cosets >= 1
-    felsch = enumerate_cosets(p, [], strategy="felsch", max_cosets=200_000)
+    felsch = enumerate_cosets(COLLAPSE, [], strategy="felsch", max_cosets=200_000)
     assert felsch.n_cosets == t.n_cosets
 
 
@@ -134,13 +135,77 @@ def test_lookahead_rescues_tight_budget():
 def test_midrun_compaction(monkeypatch):
     from weakcomm import enumerator
     monkeypatch.setattr(enumerator, "COMPACT_THRESHOLD", 1)
-    p = parse_presentation("< a, b | a^3, b^3, (a*b)^4, (a*b^-1)^5, a*b*a^-2*b*a >")
     reference = enumerate_cosets(S3, []).n_cosets
     assert enumerate_cosets(S3, []).n_cosets == reference
-    t = enumerate_cosets(p, [], max_cosets=200_000)
-    assert t.n_cosets == enumerate_cosets(p, [], strategy="felsch").n_cosets
+    t = enumerate_cosets(COLLAPSE, [], max_cosets=200_000)
+    assert t.n_cosets == enumerate_cosets(COLLAPSE, [], strategy="felsch").n_cosets
 
 
 def test_felsch_with_subgroup():
     a = parse_word("a", S3.generators)
     assert enumerate_cosets(S3, [a], strategy="felsch").n_cosets == 3
+
+
+def _pinned_input(name: str):
+    """Presentation and subgroup words of a table whose bytes are pinned:
+    'collapse' is the table of the two tests above, and a 'compacting' one is
+    enumerated with COMPACT_THRESHOLD 1."""
+    if name.startswith("collapse"):
+        return COLLAPSE, []
+    if name == "S3 compacting":
+        return S3, []
+    base = {"S3": S3, "D4": parse_presentation("< r, s | r^4, s^2, (r*s)^2 >"),
+            "A4": parse_presentation("< a, b | a^2, b^3, (a*b)^3 >")}[name[2:4]]
+    double = sidki_double(base, AllElements())
+    if name.endswith("split"):
+        return double, [Word([g]) for g in base.generators]
+    return double, []
+
+
+# sha256 of to_json(): discovery order is part of the output, so a change to
+# the enumerator must leave these bytes as they are
+PINNED_DIGESTS = {
+    ("X(S3)", "hlt"):
+        "49a8430c5b974eb4dd0cfd2f63be4d965ad22aa1b3ca45553f60b386a9d9b680",
+    ("X(S3)", "felsch"):
+        "c86072c4667663057de8d658ee4eba1f01dee6e2b08dfee5cee2ac9324d902f2",
+    ("X(D4)", "hlt"):
+        "e7e2f4f87d584e585eb5ef9c5ae367eb118c4b73831bfa6847144328bbc53d1a",
+    ("X(D4)", "felsch"):
+        "71ffc2524d0f2fd0c1c0ec3550109aa94b63698b43f056afc043b7bbe6e87e56",
+    ("X(A4)", "hlt"):
+        "ed393a1f340eae9a439dd7f933b7ef6a186dde4561e5e45f99ba3139b8eb4cff",
+    ("X(A4)", "felsch"):
+        "265b88e670344325e9a3a28e4f9ce7df195dae65a44c076c8731fb87d06b095f",
+    ("X(A4) split", "hlt"):
+        "3fe6dc8e1ef345695d54b486415dddc1cde9821e56311e9f65515bf894ee2d04",
+    ("X(A4) split", "felsch"):
+        "96a32b90777ce90256841881f11c50b2f9d17ca2813c8b932111f8512282b155",
+    ("collapse", "hlt"):
+        "589e399b57842a90b57ce95108f747cf53a558a59ea4ecf485304d951f56b2a8",
+    ("collapse", "felsch"):
+        "589e399b57842a90b57ce95108f747cf53a558a59ea4ecf485304d951f56b2a8",
+    ("collapse compacting", "hlt"):
+        "589e399b57842a90b57ce95108f747cf53a558a59ea4ecf485304d951f56b2a8",
+    ("collapse compacting", "felsch"):
+        "589e399b57842a90b57ce95108f747cf53a558a59ea4ecf485304d951f56b2a8",
+    ("S3 compacting", "hlt"):
+        "8e7d1adaa8b4e88e4709e0731949b4d23b6f70e7f574ee9c8f388852f572eff3",
+    ("S3 compacting", "felsch"):
+        "10b038da759cb0c4b7833b9d963ac9c4db5bdc4f8d2ce39972a5806d2fc8d20e",
+    ("X(A4) compacting", "hlt"):
+        "ed393a1f340eae9a439dd7f933b7ef6a186dde4561e5e45f99ba3139b8eb4cff",
+    ("X(A4) compacting", "felsch"):
+        "265b88e670344325e9a3a28e4f9ce7df195dae65a44c076c8731fb87d06b095f",
+}
+
+
+@pytest.mark.parametrize("name, strategy", list(PINNED_DIGESTS))
+def test_table_bytes_are_pinned(monkeypatch, name, strategy):
+    from weakcomm import enumerator
+    if name.endswith("compacting"):
+        monkeypatch.setattr(enumerator, "COMPACT_THRESHOLD", 1)
+    pres, subgens = _pinned_input(name)
+    t = enumerate_cosets(pres, subgens, max_cosets=200_000, strategy=strategy)
+    digest = hashlib.sha256(t.to_json().encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIGESTS[name, strategy]
