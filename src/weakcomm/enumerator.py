@@ -4,8 +4,10 @@ The default strategy is HLT (scan-and-fill every relator at every live
 coset) with a lookahead pass and table compaction when the live-coset count
 approaches the budget; a Felsch-style deduction-stack strategy is available
 as an alternative.  Felsch defines the first undefined entry, which it finds
-with a forward pointer over the rows, as HLT does.  Coincidences are
-processed with a path-compressed union-find.
+with a forward pointer over the rows, as HLT does, and scans a deduction
+a -x-> b from a alone: a relator cycle through b -x^-1-> a is one through
+a -x-> b read backwards, and scans read words from both ends.  Coincidences
+are processed with a path-compressed union-find.
 
 The table is stored column-major, one list per column: column 2i is
 generator i, column 2i+1 its inverse, and -1 marks an undefined entry.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
@@ -230,15 +233,15 @@ class _Enumeration:
         f, i = a, 0
         b, j = a, len(word) - 1
         while True:
-            while i <= j and t[word[i]][f] >= 0:
-                f = t[word[i]][f]
+            while i <= j and (c := t[word[i]][f]) >= 0:
+                f = c
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and t[word[j] ^ 1][b] >= 0:
-                b = t[word[j] ^ 1][b]
+            while j >= i and (c := t[word[j] ^ 1][b]) >= 0:
+                b = c
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -248,7 +251,8 @@ class _Enumeration:
                 return
             if not fill:
                 return
-            self.define(f, word[i])
+            f = self.define(f, word[i])
+            i += 1
 
     # strategies -----------------------------------------------------------
 
@@ -333,14 +337,31 @@ class _Enumeration:
             self._process_deductions(rotations)
 
     def _process_deductions(self, rotations) -> None:
-        while self.deductions:
-            a, x = self.deductions.popleft()
-            for rot in rotations[x]:
-                self.scan(self.find(a), rot, fill=False)
-            b = self.table[x][self.find(a)]
-            if b >= 0:
-                for rot in rotations[x ^ 1]:
-                    self.scan(self.find(b), rot, fill=False)
+        # scan(a, word, fill=False) inlined, over the rotations that start
+        # with x only: scanning the cycles through b = a^x again from b, read
+        # backwards, would find nothing new (see the module docstring)
+        p, t, queue = self.p, self.table, self.deductions
+        while queue:
+            a, x = queue.popleft()
+            for word in rotations[x]:
+                if p[a] != a:            # a coincidence killed a
+                    a = self.find(a)
+                f, i = a, 0
+                b, j = a, len(word) - 1
+                while i <= j and (c := t[word[i]][f]) >= 0:
+                    f = c
+                    i += 1
+                if i > j:
+                    if f != a:
+                        self.coincidence(f, a)
+                    continue
+                while j >= i and (c := t[word[j] ^ 1][b]) >= 0:
+                    b = c
+                    j -= 1
+                if j < i:
+                    self.coincidence(f, b)
+                elif j == i:
+                    self.set_entry(f, word[i], b)
 
     # publication ---------------------------------------------------------
 
@@ -351,8 +372,15 @@ class _Enumeration:
         self.compact(0)
         if any(-1 in col for col in self.table):
             raise WeakcommError("open coset table entry")
-        if any(self.image(a, r) != a for r in self.relators for a in range(len(self.p))):
-            raise WeakcommError("relator does not close")
+        # one gather per letter over all cosets; a single coset closes every
+        # relator, and itemgetter of a single index would return a scalar
+        identity = tuple(range(len(self.p)))
+        for r in self.relators if len(identity) > 1 else ():
+            images = identity
+            for x in r:
+                images = itemgetter(*images)(self.table[x])
+            if images != identity:
+                raise WeakcommError("relator does not close")
         if any(self.image(0, w) != 0 for w in self.subgens):
             raise WeakcommError("subgroup word moves coset 0")
         return CosetTable(

@@ -4,12 +4,16 @@ Nothing here imports the package's own linear algebra or group machinery:
 permutations are raw tuples, determinants are Laplace expansions, and group
 structure comes from explicit multiplication tables, so the expected values
 frozen into the test suite are computed along genuinely different paths.
+The one exception is the last section: replaced algorithms kept as they
+were, so that differential tests can run the replacement against them.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+from weakcomm.enumerator import _Enumeration
 
 
 # -- raw permutation helpers ------------------------------------------------
@@ -311,3 +315,29 @@ def cyclic_tensor_invariants(m: int, n: int) -> tuple[int, ...]:
     inv, free = abelian_quotient_invariants(rows, m * n)
     assert free == 0
     return inv
+
+
+# -- replaced algorithms --------------------------------------------------------
+
+class TwoEndFelsch(_Enumeration):
+    """Felsch as it was before each deduction was scanned from one end: the
+    rotations that start with column x at a, then those that start with the
+    inverse column x ^ 1 at b = a^x, with ``find`` before every scan."""
+
+    def _process_deductions(self, rotations) -> None:
+        while self.deductions:
+            a, x = self.deductions.popleft()
+            for rot in rotations[x]:
+                self.scan(self.find(a), rot, fill=False)
+            b = self.table[x][self.find(a)]
+            if b >= 0:
+                for rot in rotations[x ^ 1]:
+                    self.scan(self.find(b), rot, fill=False)
+
+
+def two_end_felsch(pres, subgens, max_cosets: int):
+    """The coset table of the two-end Felsch above, published as
+    ``enumerate_cosets`` publishes it."""
+    enum = TwoEndFelsch(pres, subgens, max_cosets)
+    enum.run_felsch()
+    return enum.publish(subgens)

@@ -5,7 +5,7 @@ import pytest
 from weakcomm import cli, decision, enumerator
 from weakcomm.cli import main
 from weakcomm.errors import AlphabetError, WeakcommError
-from weakcomm.presentations import parse_presentation
+from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 
 
 @pytest.fixture
@@ -116,6 +116,16 @@ def test_realize_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["n_cosets"] == 4
     assert main(["realize", "-p", "< a | a^3 >", "--strategy", "felsch"]) == 0
+
+
+def test_realize_double_with_felsch(capsys):
+    text = "< a, b | a^2, b^2, (a*b)^3 >"
+    assert main(["realize", "-p", text, "--double", "--strategy", "felsch",
+                 "--json", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    double = sidki_double(parse_presentation(text), AllElements())
+    expected = enumerator.enumerate_cosets(double, [], strategy="felsch").to_json()
+    assert doc["table"] == json.loads(expected)
 
 
 def test_engel_command(capsys):

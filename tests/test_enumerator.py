@@ -3,14 +3,16 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from weakcomm.enumerator import enumerate_cosets, perm_realization, signed_letters
-from weakcomm.errors import ArgumentError, EnumerationOverflow
+from weakcomm.enumerator import (_Enumeration, enumerate_cosets, perm_realization,
+                                 signed_letters)
+from weakcomm.errors import ArgumentError, EnumerationOverflow, WeakcommError
 from weakcomm.presentations import (AllElements, Presentation,
                                     parse_presentation, sidki_double)
 from weakcomm.words import GenSymbol, Word, commutator, parse_word
 
-from .oracles import closure, s3_generators
+from .oracles import closure, s3_generators, two_end_felsch
 
 S3 = parse_presentation("< a, b | a^2, b^2, (a*b)^3 >")
 C3 = parse_presentation("< a | a^3 >")
@@ -154,12 +156,21 @@ def _pinned_input(name: str):
         return COLLAPSE, []
     if name == "S3 compacting":
         return S3, []
-    base = {"S3": S3, "D4": parse_presentation("< r, s | r^4, s^2, (r*s)^2 >"),
-            "A4": parse_presentation("< a, b | a^2, b^3, (a*b)^3 >")}[name[2:4]]
+    base = parse_presentation(PINNED_BASES[name.split(" ")[0][2:-1]])
     double = sidki_double(base, AllElements())
     if name.endswith("split"):
         return double, [Word([g]) for g in base.generators]
     return double, []
+
+
+PINNED_BASES = {
+    "S3": "< a, b | a^2, b^2, (a*b)^3 >",
+    "D4": "< r, s | r^4, s^2, (r*s)^2 >",
+    "A4": "< a, b | a^2, b^3, (a*b)^3 >",
+    "D8": "< r, s | r^8, s^2, (r*s)^2 >",
+    "SL(2,3)": "< a, b | a^3*b^-3, a^3*(a*b)^-2 >",
+    "A5": "< a, b | a^2, b^3, (a*b)^5 >",
+}
 
 
 # sha256 of to_json(): discovery order is part of the output, so a change to
@@ -197,6 +208,20 @@ PINNED_DIGESTS = {
         "ed393a1f340eae9a439dd7f933b7ef6a186dde4561e5e45f99ba3139b8eb4cff",
     ("X(A4) compacting", "felsch"):
         "265b88e670344325e9a3a28e4f9ce7df195dae65a44c076c8731fb87d06b095f",
+    ("X(D8)", "hlt"):
+        "a783052486275ad63a2f8df42411e3d916ec633e7cc6a31df5f7cddaa576cb43",
+    ("X(D8)", "felsch"):
+        "89d4959bf47268c2d670022488f280181957501c3dbb610ee77e2b46589df364",
+    ("X(SL(2,3))", "hlt"):
+        "45af3e4ba4e15abf65e5044047f87a899347219501fb5669b4936232ee37ca95",
+    ("X(SL(2,3))", "felsch"):
+        "45afc911ff00abccef5c92d57ff881c7e5dfeb36ae0c074194f805eb948c7462",
+    ("X(SL(2,3)) split", "hlt"):
+        "246185f23bcc97f29f3b88552785c785ec2f9b5601f4de21daaf0fd34d8fd6d6",
+    ("X(SL(2,3)) split", "felsch"):
+        "6fe6ed47e1b7bc7a1060ad3ea5c7443b6b28d3d77f545cb76ab3763cd4b4b73e",
+    ("X(A5) split", "hlt"):
+        "79641f7a1c3aee1dca9bf431f7b22f0aca42fe2665b38735409f63ec59cc5a83",
 }
 
 
@@ -209,3 +234,101 @@ def test_table_bytes_are_pinned(monkeypatch, name, strategy):
     t = enumerate_cosets(pres, subgens, max_cosets=200_000, strategy=strategy)
     digest = hashlib.sha256(t.to_json().encode("utf-8")).hexdigest()
     assert digest == PINNED_DIGESTS[name, strategy]
+
+
+# -- Felsch against the two-end Felsch it replaced ---------------------------------
+
+DIFFERENTIAL_BUDGET = 2000
+
+
+def _letters(n_gens: int):
+    return [GenSymbol(name, sign=sign) for name in "abc"[:n_gens] for sign in (1, -1)]
+
+
+def _words(n_gens: int, max_len: int):
+    return st.lists(st.sampled_from(_letters(n_gens)), min_size=1,
+                    max_size=max_len).map(Word)
+
+
+def _relators(n_gens: int):
+    # powers of short words give finite groups, where tables fill and collapse
+    powers = st.tuples(_words(n_gens, 3), st.integers(2, 6)).map(
+        lambda wk: Word(list(wk[0]) * wk[1]))
+    return st.one_of(_words(n_gens, 8), powers)
+
+
+def _presentations(n_gens: int):
+    # a power of every generator makes most of these finite; the relators
+    # drawn beside them make many of them collapse
+    gens = [GenSymbol(name) for name in "abc"[:n_gens]]
+    orders = st.lists(st.integers(2, 6), min_size=n_gens, max_size=n_gens)
+    return st.tuples(
+        st.tuples(orders, st.lists(_relators(n_gens), min_size=1, max_size=4)).map(
+            lambda ok: Presentation(gens, [Word([g] * k) for g, k in zip(gens, ok[0])]
+                                    + ok[1])),
+        st.lists(_words(n_gens, 4), max_size=2))
+
+
+def _table_or_overflow(run):
+    try:
+        return run().to_json()
+    except EnumerationOverflow:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_presentations))
+@example((COLLAPSE, []))
+@example((COLLAPSE, [parse_word("a*b", COLLAPSE.generators)]))
+@example((S3, [parse_word("a", S3.generators)]))
+@example((XC2, []))
+def test_felsch_matches_the_two_end_felsch(case):
+    pres, subgens = case
+    expected = _table_or_overflow(
+        lambda: two_end_felsch(pres, subgens, DIFFERENTIAL_BUDGET))
+    felsch = _table_or_overflow(lambda: enumerate_cosets(
+        pres, subgens, max_cosets=DIFFERENTIAL_BUDGET, strategy="felsch"))
+    assert felsch == expected
+    if felsch is None:
+        # infinite, or too large for the small budget: both overflowed, and
+        # there is no count to compare with HLT
+        return
+    hlt = _table_or_overflow(lambda: enumerate_cosets(
+        pres, subgens, max_cosets=DIFFERENTIAL_BUDGET, strategy="hlt"))
+    if hlt is not None:   # HLT may need more live cosets than Felsch
+        assert json.loads(hlt)["n_cosets"] == json.loads(felsch)["n_cosets"]
+
+
+# -- the closure checks of publish -----------------------------------------------
+
+def _full_enumeration(pres, subgens=()):
+    enum = _Enumeration(pres, list(subgens), 100)
+    enum.run_hlt()
+    return enum
+
+
+def test_publish_refuses_an_open_entry():
+    enum = _full_enumeration(C3)
+    enum.table[0][1] = -1
+    with pytest.raises(WeakcommError, match="open coset table entry"):
+        enum.publish([])
+
+
+def test_publish_refuses_a_relator_that_does_not_close():
+    enum = _full_enumeration(C3)
+    # a transposition for a: every entry is defined, but a^3 moves cosets
+    enum.table[0] = [1, 0, 2]
+    enum.table[1] = [1, 0, 2]
+    with pytest.raises(WeakcommError, match="relator does not close"):
+        enum.publish([])
+
+
+def test_publish_refuses_a_subgroup_word_that_moves_coset_0():
+    a = parse_word("a", C3.generators)
+    enum = _full_enumeration(C3, [a])
+    assert enum.publish([a]).n_cosets == 1
+    # a table of the trivial subgroup, checked against the subgroup <a>
+    enum = _full_enumeration(C3)
+    enum.subgens = [(0,)]
+    with pytest.raises(WeakcommError, match="subgroup word moves coset 0"):
+        enum.publish([a])
