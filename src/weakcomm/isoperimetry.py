@@ -9,7 +9,9 @@ authority: every constructor here feeds its output back through
 
 Also here: the quadratic grid filling of [a^n, b^n] over the rank-2 free
 abelian presentation, an exhaustive (meet-in-the-middle) minimal-area
-search usable as a brute-force oracle at tiny scale, a certificate transform
+search usable as a brute-force oracle at tiny scale, which runs on words
+encoded as tuples of signed generator indices and iterates the smaller half
+of each product against the larger, a certificate transform
 along central extensions with an explicit cost bound, and the 6n-letter
 element family with quadratic subgroup distortion.
 """
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
+from .enumerator import signed_letters
 from .errors import ArgumentError, ParseError
 from .presentations import (Presentation, parse_presentation,
                             presentation_from_json, presentation_to_json)
@@ -143,49 +146,71 @@ def _abelian_feasible(pres: Presentation, w: Word, max_area: int) -> bool:
     return dfs(0, max_area, tuple([0] * len(gens)))
 
 
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two reduced signed-integer words: cancel at the junction."""
+    i, n, k = len(a), min(len(a), len(b)), 0
+    while k < n and a[i - 1 - k] == -b[k]:
+        k += 1
+    return a[:i - k] + b[k:]
+
+
+def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-c for c in reversed(a))
+
+
 def minimal_area_search(pres: Presentation, w: Word, max_area: int,
                         max_radius: int) -> int | None:
     """Exact minimal area of w within the given bounds, or None (unknown).
 
     Exhaustive over all conjugator tuples with radius <= max_radius, realized
-    as a meet-in-the-middle search over products of single conjugates.
-    Exponential; intended for tiny bounds, where it serves as the independent
-    oracle behind area claims.
+    as a meet-in-the-middle search over products of single conjugates.  The
+    word, the relators and the conjugators are encoded once as signed
+    1-based generator indices (as ``enumerator.signed_letters`` encodes
+    them), so products cancel at the junction and set lookups hash tuples of
+    ints.  With L_k the set of products of k single conjugates, w has area
+    <= t iff l^-1 w lies in L_(t - t//2) for some l in L_(t//2): the smaller
+    half is iterated against the larger.  Exponential; intended for tiny
+    bounds, where it serves as the independent oracle behind area claims.
+    A word with a letter outside the presentation has no certificate: None.
     """
+    if max_radius < 0:
+        raise ArgumentError(f"max_radius must be >= 0, got {max_radius}")
     if w.is_identity():
         return 0
     if max_area < 1:
         return None
+    try:
+        target = signed_letters(pres, w)
+    except ArgumentError:
+        return None
     if not _abelian_feasible(pres, w, max_area):
         return None
-    singles: list[Word] = []
-    seen: set[Word] = set()
+    relators = [signed_letters(pres, r) for r in pres.relators]
+    singles: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     for theta in reduced_words(pres.generators, max_radius):
-        for idx, r in enumerate(pres.relators):
-            for rv in (r, r.inverse()):
-                f = rv.conjugate(theta)
+        t = signed_letters(pres, theta)
+        t_inv = _inv(t)
+        for r in relators:
+            for rv in (r, _inv(r)):
+                f = _mul(_mul(t_inv, rv), t)
                 if f not in seen:
                     seen.add(f)
                     singles.append(f)
-    levels: list[set[Word]] = [{Word()}, set(singles)]
+    levels: list[set[tuple[int, ...]]] = [{()}, seen]
 
-    def level(k: int) -> set[Word]:
+    def level(k: int) -> set[tuple[int, ...]]:
         while len(levels) <= k:
             prev = levels[-1]
-            nxt = {x * s for x in prev for s in singles}
-            levels.append(nxt)
+            levels.append({_mul(x, s) for x in prev for s in singles})
         return levels[k]
 
-    for target in range(1, max_area + 1):
-        half = target // 2
-        right = level(half)
-        if target - half <= half:
-            left_iter = iter(level(target - half))
-        else:
-            left_iter = (x * s for x in level(half) for s in singles)
-        for l in left_iter:
-            if l.inverse() * w in right:
-                return target
+    for area in range(1, max_area + 1):
+        half = area // 2
+        right = level(area - half)
+        for left in level(half):
+            if _mul(_inv(left), target) in right:
+                return area
     return None
 
 

@@ -2,10 +2,13 @@
 
 An alphabet consists of generator symbols, each a base name with an optional
 bar flag (``a`` vs ``a~`` in text form).  Words are immutable, freely reduced
-sequences of signed symbols.  On top of the plain word algebra this module
-provides the structural letter maps of the weak-commutativity double: the
-copy swap ``bar``, the two coordinate projections ``pi`` / ``pibar``, and the
-three-coordinate embedding map ``rho`` defined letter-by-letter by
+sequences of signed symbols.  Because every ``Word`` is reduced, a product
+cancels only across the junction of its two operands and an inverse is the
+reversed word with each letter inverted; neither re-reduces.  On top of the
+plain word algebra this module provides the structural letter maps of the
+weak-commutativity double: the copy swap ``bar``, the two coordinate
+projections ``pi`` / ``pibar``, and the three-coordinate embedding map
+``rho`` defined letter-by-letter by
 
     g  ->  (g, g, 1)        g~  ->  (1, g, g).
 
@@ -47,7 +50,13 @@ class GenSymbol:
         return GenSymbol(self.name, self.bar, 1)
 
     def inverse(self) -> "GenSymbol":
-        return GenSymbol(self.name, self.bar, -self.sign)
+        # the symbol was validated when it was made, so its inverse is built
+        # once and cached (one entry per distinct letter) rather than run
+        # through the name check again
+        inv = _INVERSES.get(self)
+        if inv is None:
+            inv = _INVERSES[self] = GenSymbol(self.name, self.bar, -self.sign)
+        return inv
 
     def same_generator(self, other: "GenSymbol") -> bool:
         return self.name == other.name and self.bar == other.bar
@@ -55,6 +64,9 @@ class GenSymbol:
     def __str__(self) -> str:
         s = self.name + ("~" if self.bar else "")
         return s + ("^-1" if self.sign < 0 else "")
+
+
+_INVERSES: dict[GenSymbol, GenSymbol] = {}
 
 
 def _reduce(letters: Iterable[GenSymbol]) -> tuple[GenSymbol, ...]:
@@ -91,7 +103,15 @@ class Word:
         return hash(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # both operands are reduced: only letters at the junction can cancel
+        a, b = self.letters, other.letters
+        i, n, k = len(a), min(len(a), len(b)), 0
+        while k < n:
+            x, y = a[i - 1 - k], b[k]
+            if x.sign == y.sign or x.name != y.name or x.bar != y.bar:
+                break
+            k += 1
+        return _reduced_word(a[:i - k] + b[k:])
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -100,7 +120,8 @@ class Word:
         return Word(base.letters * abs(n))
 
     def inverse(self) -> "Word":
-        return Word(sym.inverse() for sym in reversed(self.letters))
+        # the reverse of a reduced word is reduced
+        return _reduced_word(tuple(sym.inverse() for sym in reversed(self.letters)))
 
     def conjugate(self, by: "Word") -> "Word":
         """self^by = by^-1 * self * by."""
@@ -128,6 +149,13 @@ class Word:
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+def _reduced_word(letters: tuple[GenSymbol, ...]) -> Word:
+    """A Word over letters that are already freely reduced, without _reduce."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def free_reduce(letters: Sequence[GenSymbol],

@@ -14,6 +14,9 @@ import math
 from itertools import combinations
 
 from weakcomm.enumerator import _Enumeration
+from weakcomm.isoperimetry import _abelian_feasible
+from weakcomm.presentations import Presentation
+from weakcomm.words import Word, reduced_words
 
 
 # -- raw permutation helpers ------------------------------------------------
@@ -341,3 +344,50 @@ def two_end_felsch(pres, subgens, max_cosets: int):
     enum = TwoEndFelsch(pres, subgens, max_cosets)
     enum.run_felsch()
     return enum.publish(subgens)
+
+
+# minimal_area_search as it was before it ran on signed-integer words
+def word_minimal_area_search(pres: Presentation, w: Word, max_area: int,
+                             max_radius: int) -> int | None:
+    """Exact minimal area of w within the given bounds, or None (unknown).
+
+    Exhaustive over all conjugator tuples with radius <= max_radius, realized
+    as a meet-in-the-middle search over products of single conjugates.
+    Exponential; intended for tiny bounds, where it serves as the independent
+    oracle behind area claims.
+    """
+    if w.is_identity():
+        return 0
+    if max_area < 1:
+        return None
+    if not _abelian_feasible(pres, w, max_area):
+        return None
+    singles: list[Word] = []
+    seen: set[Word] = set()
+    for theta in reduced_words(pres.generators, max_radius):
+        for idx, r in enumerate(pres.relators):
+            for rv in (r, r.inverse()):
+                f = rv.conjugate(theta)
+                if f not in seen:
+                    seen.add(f)
+                    singles.append(f)
+    levels: list[set[Word]] = [{Word()}, set(singles)]
+
+    def level(k: int) -> set[Word]:
+        while len(levels) <= k:
+            prev = levels[-1]
+            nxt = {x * s for x in prev for s in singles}
+            levels.append(nxt)
+        return levels[k]
+
+    for target in range(1, max_area + 1):
+        half = target // 2
+        right = level(half)
+        if target - half <= half:
+            left_iter = iter(level(target - half))
+        else:
+            left_iter = (x * s for x in level(half) for s in singles)
+        for l in left_iter:
+            if l.inverse() * w in right:
+                return target
+    return None

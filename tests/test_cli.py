@@ -233,6 +233,21 @@ def test_area_commands(tmp_path, capsys):
     assert main(["area"]) == 3
 
 
+def test_area_min_search_without_certificate(capsys):
+    assert main(["area", "--min-search", "[a^2, b^2]", "--max-area", "3",
+                 "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "minimal area: unknown within bounds" in out.splitlines()
+    assert '"minimal_area": null' in out
+
+
+def test_area_min_search_with_negative_radius_is_usage_error(capsys):
+    assert main(["area", "--min-search", "[a,b]", "--max-radius", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert "minimal area" not in captured.out
+    assert "max_radius" in captured.err
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"radius": 4, "witness": "len:1"}))

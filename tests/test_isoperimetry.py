@@ -1,8 +1,11 @@
+import functools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakcomm import isoperimetry
 from weakcomm.errors import ArgumentError
 from weakcomm.isoperimetry import (AreaCertificate, CN_ALPHABET,
                                    ELL_ALPHABET, GRID_PRESENTATION,
@@ -14,9 +17,15 @@ from weakcomm.isoperimetry import (AreaCertificate, CN_ALPHABET,
                                    free_commutator_instance, grid_certificate,
                                    minimal_area_search, p_image, pbar_image,
                                    reduce_to_free_area, rho_of_spelling)
+from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 from weakcomm.words import GenSymbol, Word, commutator, format_word, parse_word
 
+from .oracles import word_minimal_area_search
+
 A, B = (Word([g]) for g in GRID_PRESENTATION.generators)
+S3 = parse_presentation("< a, b | a^2, b^2, (a*b)^3 >")
+C2 = parse_presentation("< a | a^2 >")
+X_C2 = sidki_double(C2, AllElements())
 
 
 def word(text, alphabet=GRID_PRESENTATION.generators):
@@ -65,6 +74,71 @@ def test_minimal_area_trivial_cases():
 def test_minimal_area_of_the_two_by_two_grid():
     got = minimal_area_search(GRID_PRESENTATION, word("[a^2,b^2]"), 4, 4)
     assert got == 4     # in particular no certificate of area <= 3 in radius 4
+
+
+def test_minimal_area_bounds():
+    w = word("[a,b]")
+    assert minimal_area_search(GRID_PRESENTATION, w, 0, 2) is None
+    assert minimal_area_search(GRID_PRESENTATION, w, -1, 2) is None
+    assert minimal_area_search(GRID_PRESENTATION, w, 1, 0) == 1
+    with pytest.raises(ArgumentError):
+        minimal_area_search(GRID_PRESENTATION, w, 2, -1)
+    with pytest.raises(ArgumentError):
+        minimal_area_search(GRID_PRESENTATION, Word(), 2, -1)
+
+
+def test_minimal_area_of_a_foreign_word_is_none_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(isoperimetry, "reduced_words", no_search)
+    foreign = parse_word("[a,b] * c^2 * c^-2 * c")
+    assert minimal_area_search(GRID_PRESENTATION, foreign, 4, 4) is None
+
+
+# values computed by the Word-based search it replaced (tests/oracles.py)
+@pytest.mark.parametrize("pres, text, max_area, max_radius, want", [
+    (GRID_PRESENTATION, "[a^2, b^2]", 3, 4, None),
+    (GRID_PRESENTATION, "[a^2, b^2]", 4, 1, None),
+    (GRID_PRESENTATION, "[a^3, b]", 3, 2, 3),
+    (GRID_PRESENTATION, "[a^2, b^3]", 4, 3, None),
+    (S3, "(a*b)^6", 2, 1, 2),
+    (S3, "b*a*b*a*b*a", 2, 2, 1),
+    (S3, "a*b*a*b", 3, 2, None),
+    (S3, "a", 3, 2, None),
+    (X_C2, "[a, a~]", 2, 2, 1),
+    (X_C2, "a*a~*a*a~", 3, 2, 3),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_minimal_area_pinned(pres, text, max_area, max_radius, want):
+    w = parse_word(text, pres.generators)
+    assert minimal_area_search(pres, w, max_area, max_radius) == want
+
+
+def _area_words(pres, max_radius):
+    """Words of length <= 8: free words, and products of up to three
+    conjugates of relators by conjugators within the radius bound."""
+    letters = st.sampled_from([s for g in pres.generators for s in (g, g.inverse())])
+    conjugate = st.builds(
+        lambda r, sign, theta: (r ** sign).conjugate(Word(theta)),
+        st.sampled_from(pres.relators), st.sampled_from([1, -1]),
+        st.lists(letters, max_size=max_radius))
+    products = st.lists(conjugate, min_size=1, max_size=3).map(
+        lambda fs: functools.reduce(operator.mul, fs, Word()))
+    return st.one_of(st.lists(letters, max_size=8).map(Word), products) \
+        .filter(lambda w: len(w) <= 8)
+
+
+@pytest.mark.parametrize("pres, max_area, max_radius", [
+    (GRID_PRESENTATION, 3, 2), (S3, 3, 2), (C2, 3, 2), (X_C2, 2, 1)],
+    ids=["grid", "S3", "C2", "X(C2)"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_minimal_area_matches_the_word_search(pres, max_area, max_radius, data):
+    w = data.draw(_area_words(pres, max_radius))
+    area = data.draw(st.integers(0, max_area))
+    radius = data.draw(st.integers(0, max_radius))
+    assert minimal_area_search(pres, w, area, radius) == \
+        word_minimal_area_search(pres, w, area, radius)
 
 
 # -- central extension: integer Heisenberg matrices as an independent oracle --

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from weakcomm import words as words_module
 from weakcomm.errors import AlphabetError, ArgumentError, ParseError
 from weakcomm.words import (GenSymbol, Word, bar_word, commutator, engel_word,
                             ell, format_word, free_reduce, gen, left_normed,
@@ -151,3 +152,28 @@ def test_word_algebra():
     assert w.conjugate(a) == a.inverse() * w * a
     assert (a * b * a.inverse()).cyclically_reduced() == b
     assert w.exponent_sum(A) == 1 and w.exponent_sum(B) == 1
+
+
+# Word products cancel only at the junction and inverses skip reduction; the
+# properties below hold them to a full re-reduction of the raw letters.
+
+def _reduced_inverse(letters):
+    return words_module._reduce(s.inverse() for s in reversed(letters))
+
+
+@given(words, words)
+def test_product_is_the_reduced_concatenation(u, v):
+    assert (u * v).letters == words_module._reduce(u.letters + v.letters)
+
+
+@given(words)
+def test_inverse_is_the_reduced_reversal(u):
+    assert u.inverse().letters == _reduced_inverse(u.letters)
+    assert (u * u.inverse()).is_identity()
+    assert (u.inverse() * u).is_identity()
+
+
+@given(words, st.integers(-3, 3))
+def test_power_is_the_reduced_repetition(u, n):
+    base = u.letters if n >= 0 else _reduced_inverse(u.letters)
+    assert (u ** n).letters == words_module._reduce(base * abs(n))
