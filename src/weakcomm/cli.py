@@ -5,10 +5,13 @@ pipeline, prints a human summary to stdout, and can write a versioned JSON
 report.  Exit codes: 0 all asserted checks pass; 1 a mathematical assertion
 failed (witness in the report); 2 budget or guard exhausted, including a
 group that is infinite because its free rank is positive; 3 usage error,
-including a file that cannot be read, decoded or written, malformed JSON in
-``--config`` or a ``--check`` certificate, a config value of the wrong type,
-and a word over letters outside the alphabet; 4 internal error, any other
-``WeakcommError``, with a one-line message on stderr.
+including an unknown flag or one the command does not read, a flag value of
+the wrong type, a file that cannot be read, decoded or written, malformed JSON
+in ``--config`` or a ``--check`` certificate, a config value of the wrong
+type, and a word over letters outside the alphabet; 4 internal error, any
+other ``WeakcommError``, with a one-line message on stderr.
+Each command takes only the shared limits it reads (--witness, --max-cosets,
+--guard, --budget, --radius); ``--config`` accepts every one of them.
 Reports embed the configuration and are byte-identical for identical runs.
 """
 
@@ -301,41 +304,52 @@ def _cmd_area(args, config: RunConfig) -> int:
     raise ArgumentError("area needs one of --grid N, --check FILE, --min-search WORD")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ArgumentError`` on bad arguments, so ``main`` ends them in 3."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weakcomm",
         description="weak-commutativity doubles: construction, realization, "
                     "verification, modules, word problem, growth, area")
     parser.add_argument("--config", help="flat JSON config file (keys = flag names)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, presentation=True):
-        if presentation:
-            p.add_argument("-p", "--presentation", help="inline presentation text")
-            p.add_argument("--file", help="file containing a presentation")
-        p.add_argument("--witness", help="witness policy: all | len:k")
-        p.add_argument("--max-cosets", type=int, dest="max_cosets")
-        p.add_argument("--guard", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--radius", type=int)
+    def common(p, *shared):
+        """The presentation and report flags, and the shared flags p reads."""
+        p.add_argument("-p", "--presentation", help="inline presentation text")
+        p.add_argument("--file", help="file containing a presentation")
+        for flag in shared:
+            if flag == "witness":
+                p.add_argument("--witness", help="witness policy: all | len:k")
+            else:
+                p.add_argument(f"--{flag}", type=int, dest=flag.replace("-", "_"))
         p.add_argument("--json", dest="json_path",
                        help="write the JSON report here ('-' for stdout)")
 
     common(sub.add_parser("parse", help="parse and canonicalize a presentation"))
-    common(sub.add_parser("double", help="construct the doubled presentation"))
+    common(sub.add_parser("double", help="construct the doubled presentation"),
+           "witness", "max-cosets")
     p = sub.add_parser("realize", help="coset enumeration")
-    common(p)
+    common(p, "witness", "max-cosets")
     p.add_argument("--double", action="store_true", help="realize the double")
     p.add_argument("--strategy", choices=["hlt", "felsch"], default="hlt")
-    common(sub.add_parser("verify", help="build the double and run all checks"))
-    common(sub.add_parser("engel", help="Engel data and the verified bound"))
-    common(sub.add_parser("modules", help="module-theoretic reports"))
+    common(sub.add_parser("verify", help="build the double and run all checks"),
+           "max-cosets", "guard")
+    common(sub.add_parser("engel", help="Engel data and the verified bound"),
+           "max-cosets", "guard")
+    common(sub.add_parser("modules", help="module-theoretic reports"),
+           "max-cosets", "guard")
     p = sub.add_parser("wp", help="decide words in the double")
-    common(p)
+    common(p, "witness", "max-cosets", "budget")
     p.add_argument("--word", action="append", required=True,
                    help="word over the doubled alphabet (repeatable)")
     p = sub.add_parser("growth", help="ball sizes and growth classification")
-    common(p)
+    common(p, "witness", "max-cosets", "radius")
     p.add_argument("--double", action="store_true", help="measure the double")
     p = sub.add_parser("area", help="area certificates")
     common(p)

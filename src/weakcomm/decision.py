@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .enumerator import CosetTable, enumerate_cosets, signed_letters
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
-from .isoperimetry import AreaCertificate, minimal_area_search
+from .isoperimetry import minimal_area_search
 from .permgroups import Perm, evaluate
 from .presentations import Presentation, require_finite
 from .words import GenSymbol, Word, commutator, rho_word

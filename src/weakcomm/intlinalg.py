@@ -13,8 +13,7 @@ matrices of desk-scale groups), so no fast path is attempted.  Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError
@@ -88,10 +87,6 @@ class IntMatrix:
             raise ArgumentError("vector length mismatch")
         return [sum(self.data[i][j] * vec[j] for j in range(self.cols))
                 for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], self.cols, self.rows)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -326,44 +321,4 @@ def direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
     return FinAbGroup.from_orders(
         list(a.invariant_factors) + list(b.invariant_factors),
         a.free_rank + b.free_rank)
-
-
-@dataclass
-class AbHom:
-    """Homomorphism between f.g. abelian groups on chosen cyclic generators.
-
-    ``matrix[i][j]`` is the coefficient of the i-th target generator in the
-    image of the j-th source generator.  Generators are ordered torsion
-    factors first, then free ones, matching the canonical decomposition.
-    """
-
-    source: FinAbGroup
-    target: FinAbGroup
-    matrix: IntMatrix
-    _orders_src: list[int] = field(init=False)
-    _orders_tgt: list[int] = field(init=False)
-
-    def __post_init__(self):
-        self._orders_src = list(self.source.invariant_factors) + [0] * self.source.free_rank
-        self._orders_tgt = list(self.target.invariant_factors) + [0] * self.target.free_rank
-        if self.matrix.rows != len(self._orders_tgt) or \
-                self.matrix.cols != len(self._orders_src):
-            raise ArgumentError("matrix shape does not match generator counts")
-        for j, d in enumerate(self._orders_src):
-            if d == 0:
-                continue
-            for i, e in enumerate(self._orders_tgt):
-                x = d * self.matrix.data[i][j]
-                if e == 0:
-                    if x != 0:
-                        raise ArgumentError(
-                            f"not well defined: generator {j} of order {d} maps to "
-                            f"an element of infinite order")
-                elif x % e != 0:
-                    raise ArgumentError(
-                        f"not well defined: order of generator {j} not respected")
-
-    def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
-        img = self.matrix.apply(list(coords))
-        return tuple(x % e if e else x for x, e in zip(img, self._orders_tgt))
 

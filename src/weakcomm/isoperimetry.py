@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Callable, Sequence
 
 from .enumerator import signed_letters

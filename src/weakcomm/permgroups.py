@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 

@@ -226,15 +226,16 @@ def _w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
     """Words for the members of W = ker rho, one per member.
 
     Each coset w of the split copy holds one element of L, pi(w)^-1 w, and it
-    lies in W iff rho_word(w) = (pi w, pi w, 1); the base table is regular,
-    so words are equal in G iff they reach one coset from coset 0.
+    lies in W iff rho_word(w) = (pi w, pi w, 1); the middle coordinate of
+    rho_word(w) is pi w letter for letter, so that is first == second and a
+    trivial third.  The base table is regular, so words are equal in G iff
+    they reach one coset from coset 0.
     """
     members: list[Word] = []
     for w in table.coset_words():
-        p = pi_word(w)
         first, second, third = (base_table.trace_word(0, u) for u in rho_word(w))
-        if first == second == base_table.trace_word(0, p) and third == 0:
-            members.append(p.inverse() * w)
+        if first == second and third == 0:
+            members.append(pi_word(w).inverse() * w)
     return members
 
 

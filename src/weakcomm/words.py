@@ -265,11 +265,17 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z0-9_]+)|(?P<op>[~^*\[\](),])|(?P<
 
 
 class _Tokens:
+    """Lazy tokenizer; ``peek`` matches each position once, ``next`` reuses it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._peeked = (-1, None, 0)  # (pos, token, end) of the last match
 
     def peek(self):
+        at, tok, end = self._peeked
+        if at == self.pos:
+            return tok, end
         if self.pos >= len(self.text):
             return None, self.pos
         m = _TOKEN_RE.match(self.text, self.pos)
@@ -278,7 +284,8 @@ class _Tokens:
             if not stripped:
                 return None, len(self.text)
             raise ParseError(f"unexpected character {stripped[0]!r}", self.pos)
-        return m.group().strip(), m.end()
+        self._peeked = (self.pos, m.group().strip(), m.end())
+        return self._peeked[1:]
 
     def next(self):
         tok, end = self.peek()

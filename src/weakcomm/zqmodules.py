@@ -1,9 +1,10 @@
 """Modules over group rings of abelianizations.
 
-A ``QModule`` is a finitely generated abelian group given by chosen
-generators and a relation lattice, together with integer matrices describing
-a right action of a finite group on those generators.  Equality and
-membership questions are settled in Smith-form coordinates throughout.
+A ``QModule`` is a relation lattice plus action matrices: the finitely
+generated abelian group Z^n / (relation lattice), on n chosen generators,
+with one integer n x n matrix per acting generator for a right action that
+factors through an abelian group.  Equality and membership questions are
+settled in Smith-form coordinates throughout.
 
 Builders:
 
@@ -20,7 +21,7 @@ Builders:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArgumentError, SizeGuardError, WeakcommError
@@ -43,22 +44,16 @@ def _unit(n: int, i: int) -> Vector:
 
 
 class QModule:
-    """F.g. abelian group with chosen generators and a right group action."""
+    """F.g. abelian group on n generators with a commuting right action."""
 
-    def __init__(self, gen_labels: Sequence[str], relations: Sequence[Vector],
-                 acting_labels: Sequence[str],
-                 action_matrices: Sequence[IntMatrix],
-                 check_commuting_action: bool = True):
-        self.gen_labels = list(gen_labels)
-        self.n = len(gen_labels)
+    def __init__(self, n: int, relations: Sequence[Vector],
+                 action_matrices: Sequence[IntMatrix]):
+        self.n = n
         self.relations = [tuple(map(int, r)) for r in relations]
         for r in self.relations:
             if len(r) != self.n:
                 raise ArgumentError("relation length mismatch")
-        self.acting_labels = list(acting_labels)
         self.action_matrices = list(action_matrices)
-        if len(self.acting_labels) != len(self.action_matrices):
-            raise ArgumentError("need one matrix per acting generator")
         rel_matrix = IntMatrix.from_columns(self.relations, self.n) \
             if self.relations else IntMatrix.zero(self.n, 0)
         u, d, _ = smith_normal_form(rel_matrix)
@@ -71,7 +66,7 @@ class QModule:
             for r in self.relations:
                 if not self.is_zero(a.apply(list(r))):
                     raise ArgumentError("action does not preserve the relation lattice")
-        if check_commuting_action and self.n:
+        if self.n:
             for i in range(len(self.action_matrices)):
                 for j in range(i + 1, len(self.action_matrices)):
                     ab = self.action_matrices[i] @ self.action_matrices[j]
@@ -81,7 +76,6 @@ class QModule:
                             raise ArgumentError(
                                 "action generators do not commute on the module; "
                                 "the action must factor through an abelian group")
-        self._inverse_cache: dict[int, IntMatrix] = {}
 
     # -- canonical coordinates ----------------------------------------------
 
@@ -123,25 +117,6 @@ class QModule:
 
     def act(self, gen_index: int, v: Sequence[int]) -> Vector:
         return tuple(self.action_matrices[gen_index].apply(list(v)))
-
-    def act_inverse(self, gen_index: int, v: Sequence[int]) -> Vector:
-        mat = self._inverse_cache.get(gen_index)
-        if mat is None:
-            mat = self._matrix_inverse_on_quotient(self.action_matrices[gen_index])
-            self._inverse_cache[gen_index] = mat
-        return tuple(mat.apply(list(v)))
-
-    def _matrix_inverse_on_quotient(self, m: IntMatrix) -> IntMatrix:
-        order = self.structure().order()
-        cap = (order or 0) + 2
-        acc = m
-        for _ in range(cap):
-            nxt = acc @ m
-            if all(self.is_zero(_vec_sub(nxt.column(j), _unit(self.n, j)))
-                   for j in range(self.n)):
-                return acc
-            acc = nxt
-        raise WeakcommError("action matrix has no inverse on the quotient")
 
     def aug_step(self, vectors: Sequence[Vector]) -> list[Vector]:
         """One multiplication by the augmentation ideal: all v*(q-1)."""
@@ -224,8 +199,7 @@ class QModule:
 
 # -- builders -------------------------------------------------------------------
 
-def aug_mod_I2(group: PermGroup, acting_labels: Sequence[str] | None = None,
-               guard: int | None = None) -> QModule:
+def aug_mod_I2(group: PermGroup, guard: int | None = None) -> QModule:
     """Augmentation ideal mod squared differences, as a right module.
 
     Basis: (g - 1) for the non-identity elements g, in enumeration order.
@@ -264,10 +238,7 @@ def aug_mod_I2(group: PermGroup, acting_labels: Sequence[str] | None = None,
             if p != ident:
                 m.data[index[p]][i] -= 1
         matrices.append(m)
-    if acting_labels is None:
-        acting_labels = [f"g{i}" for i in range(len(group.generators))]
-    labels = [f"d{i}" for i in range(n)]
-    return QModule(labels, relations, acting_labels, matrices)
+    return QModule(n, relations, matrices)
 
 
 @dataclass
@@ -277,14 +248,11 @@ class AbelianSection:
 
     module: QModule
     matrix_of: Callable[[Perm], IntMatrix]
-    gen_labels: list[str]
 
 
 def module_from_abelian_quotient(num: PermGroup, den: PermGroup,
                                  gen_elems: Sequence[Perm],
                                  acting_elems: Sequence[Perm],
-                                 acting_labels: Sequence[str],
-                                 gen_labels: Sequence[str] | None = None,
                                  guard: int | None = None) -> AbelianSection:
     """Coordinate model of the abelian section num/den with conjugation action.
 
@@ -331,11 +299,8 @@ def module_from_abelian_quotient(num: PermGroup, den: PermGroup,
                 m.data[r][i] = c
         return m
 
-    if gen_labels is None:
-        gen_labels = [f"a{i}" for i in range(k)]
-    module = QModule(list(gen_labels), relations, list(acting_labels),
-                     [matrix_of(t) for t in acting_elems])
-    return AbelianSection(module, matrix_of, list(gen_labels))
+    module = QModule(k, relations, [matrix_of(t) for t in acting_elems])
+    return AbelianSection(module, matrix_of)
 
 
 def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -350,8 +315,7 @@ def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def module_M(group: PermGroup, acting_labels: Sequence[str] | None = None,
-             guard: int | None = None) -> QModule:
+def module_M(group: PermGroup, guard: int | None = None) -> QModule:
     """Coinvariant tensor square of the derived section.
 
     With A the maximal abelian quotient of the derived subgroup, this is
@@ -359,13 +323,10 @@ def module_M(group: PermGroup, acting_labels: Sequence[str] | None = None,
     abelianization, with the residual action through the first factor.
     """
     limit = group.guard if guard is None else guard
-    if acting_labels is None:
-        acting_labels = [f"g{i}" for i in range(len(group.generators))]
     derived = group.derived_subgroup()
     second = derived.derived_subgroup()
     section = module_from_abelian_quotient(
-        derived, second, derived.generators, group.generators, acting_labels,
-        guard=limit)
+        derived, second, derived.generators, group.generators, guard=limit)
     k = section.module.n
     lattice = section.module.relations
     # tensor-square generators e_{i,j}; index (i, j) -> i*k + j
@@ -393,8 +354,7 @@ def module_M(group: PermGroup, acting_labels: Sequence[str] | None = None,
             if any(col):
                 relations.append(tuple(col))
     action = [_kron(section.matrix_of(t), identity_k) for t in group.generators]
-    labels = [f"t{i}_{j}" for i in range(k) for j in range(k)]
-    return QModule(labels, relations, list(acting_labels), action)
+    return QModule(k * k, relations, action)
 
 
 def ell_section_module(x, guard: int | None = None) -> AbelianSection:
@@ -408,11 +368,8 @@ def ell_section_module(x, guard: int | None = None) -> AbelianSection:
     ident = Perm.identity(x.G.degree)
     base_order = [g for g in x.G.elements() if g != ident]
     gen_elems = [x.ell_images[g] for g in base_order]
-    labels = [f"d{i}" for i in range(len(gen_elems))]
-    acting_labels = [f"g{i}" for i in range(len(x.x_images))]
     return module_from_abelian_quotient(
-        x.L, x.L.derived_subgroup(), gen_elems, x.x_images, acting_labels,
-        gen_labels=labels, guard=guard)
+        x.L, x.L.derived_subgroup(), gen_elems, x.x_images, guard=guard)
 
 
 def ell_module_consistency(x, guard: int | None = None) -> dict:
@@ -470,11 +427,9 @@ def w_structure_checks(x, guard: int = 100_000) -> dict:
     s = v.action_nilpotency_class(cap=(v.structure().order() or 0) + 3)
     if s is None:
         raise WeakcommError("action on L/L' did not nilpotize below |V|+3")
-    acting_labels = [f"g{i}" for i in range(len(x.x_images))]
     w_gens = [g for g in x.W.generators if not g.is_identity()]
     w_section = module_from_abelian_quotient(
-        x.W, PermGroup.trivial(x.X.degree), w_gens, x.x_images, acting_labels,
-        guard=guard)
+        x.W, PermGroup.trivial(x.X.degree), w_gens, x.x_images, guard=guard)
     wmod = w_section.module
     m = module_M(G, guard=guard)
     m_order = m.structure().order()

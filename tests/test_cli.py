@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakcomm import cli, decision, enumerator
 from weakcomm.cli import main
@@ -257,3 +260,93 @@ def test_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))
     assert main(["--config", str(bad), "parse", "-p", "< a | >"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bogus"],
+    ["verify", "-p", "<a|a^2>", "--guard", "abc"],
+    [],
+    ["parse", "-p", "< a | a^2 >", "--radius", "3"],
+], ids=["unknown-flag", "non-integer", "no-command", "unread-flag"])
+def test_argument_errors_are_usage_errors(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--guard" in capsys.readouterr().out
+
+
+# -- fuzzing the argument grammar ------------------------------------------------
+
+READS = {"parse": (), "double": ("witness", "max-cosets"),
+         "realize": ("witness", "max-cosets"),
+         "verify": ("max-cosets", "guard"), "engel": ("max-cosets", "guard"),
+         "modules": ("max-cosets", "guard"),
+         "wp": ("witness", "max-cosets", "budget"),
+         "growth": ("witness", "max-cosets", "radius"), "area": ()}
+VALID = {"witness": ["all", "len:2"], "max-cosets": ["100", "500"],
+         "guard": ["50", "1000"], "budget": ["5", "500"], "radius": ["0", "3"]}
+INVALID = ["0", "-1", "abc", "len:x"]
+OWN = {"realize": [[], ["--double"], ["--double", "--strategy", "felsch"]],
+       "wp": [["--word", "a*a~"], ["--word", "[a,a~]", "--word", "b"]],
+       "growth": [[], ["--double"]],
+       "area": [["--grid", "2"], ["--min-search", "[a,b]", "--max-area", "1",
+                                  "--max-radius", "1"], ["--check", "missing.json"],
+                []]}
+PRESENTATIONS = [None, "< a | a^2 >", "< a, b | a^2, b^2, (a*b)^3 >", "< a | >",
+                 "< a | a^2"]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(READS)))
+    argv = [command]
+    pres = draw(st.sampled_from(PRESENTATIONS))
+    if pres is not None:
+        argv += ["-p", pres]
+    argv += draw(st.sampled_from(OWN.get(command, [[]])))
+    # mostly flags the command reads, with valid values; sometimes any subset
+    reads = st.sets(st.sampled_from(READS[command])) if READS[command] \
+        else st.just(set())
+    flags = sorted(draw(st.one_of(reads, reads, reads,
+                                  st.sets(st.sampled_from(sorted(VALID))))))
+    for flag in flags:
+        values = INVALID if draw(st.integers(0, 3)) == 0 else VALID[flag]
+        argv += [f"--{flag}", draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv += ["--json", "-"]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    non_integer = any(v in ("abc", "len:x") for f, v in zip(argv, argv[1:])
+                      if f in ("--max-cosets", "--guard", "--budget", "--radius"))
+    misuse = "--bogus" in argv or non_integer or \
+        any(flag not in READS[command] for flag in flags)
+    return argv, misuse
+
+
+@pytest.fixture(scope="module")
+def small_limits(tmp_path_factory):
+    """A config that keeps the default limits small, so every run is quick."""
+    path = tmp_path_factory.mktemp("fuzz") / "limits.json"
+    path.write_text(json.dumps({"max_cosets": 500, "radius": 3}))
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=argvs())
+def test_every_argv_ends_in_a_documented_exit_code(small_limits, case):
+    argv, misuse = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", small_limits] + argv)
+    assert code in {0, 1, 2, 3, 4}, argv
+    assert "Traceback" not in err.getvalue()
+    if misuse:
+        assert code == 3, (argv, err.getvalue())

@@ -107,6 +107,11 @@ def test_rho_is_multiplicative(u, v):
     assert ruv == tuple(x * y for x, y in zip(ru, rv))
 
 
+@given(words)
+def test_rho_middle_coordinate_is_pi(w):
+    assert rho_word(w)[1] == pi_word(w)
+
+
 def test_parse_examples():
     w = parse_word("[a, a~]^-1 * b", ALPHABET)
     assert w == commutator(gen("a"), Word([ABAR])).inverse() * gen("b")
@@ -136,6 +141,24 @@ def test_parse_errors():
         parse_word("a * $")
     except ParseError as exc:
         assert exc.position is not None
+
+
+def test_parse_matches_each_token_once(monkeypatch):
+    class CountingPattern:
+        def __init__(self, pattern):
+            self.pattern, self.matches = pattern, 0
+
+        def match(self, *args):
+            self.matches += 1
+            return self.pattern.match(*args)
+
+    counting = CountingPattern(words_module._TOKEN_RE)
+    monkeypatch.setattr(words_module, "_TOKEN_RE", counting)
+    text = "[a^2, b~]*c^-3*(a*b)^2"
+    expected = commutator(gen("a") ** 2, Word([GenSymbol("b", True)])) \
+        * gen("c") ** -3 * (gen("a") * gen("b")) ** 2
+    assert parse_word(text) == expected
+    assert counting.matches <= 20 + 1   # 20 tokens, plus the end check
 
 
 @given(words)

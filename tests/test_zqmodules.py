@@ -56,19 +56,12 @@ def test_module_consistency_whole_suite(realizations):
             report["torsion_count_invariants"], name
 
 
-def test_action_inverse_matrices_compose_to_identity(realizations):
-    v = aug_mod_I2(realizations["Q8"].G)
-    for i in range(len(v.action_matrices)):
-        for e in v.basis_vectors():
-            assert v.canonical(v.act_inverse(i, v.act(i, e))) == v.canonical(e)
-
-
 def test_action_nilpotency_basics():
     # trivial action on a nonzero module
-    v = QModule(["e"], [(2,)], ["g"], [IntMatrix([[1]])])
+    v = QModule(1, [(2,)], [IntMatrix([[1]])])
     assert v.action_nilpotency_class(cap=3) == 1
     # action that never nilpotizes within the cap
-    w = QModule(["e"], [(5,)], ["g"], [IntMatrix([[2]])])
+    w = QModule(1, [(5,)], [IntMatrix([[2]])])
     assert w.action_nilpotency_class(cap=10) is None
 
 
@@ -123,8 +116,7 @@ def test_action_class_monotone_under_quotients(realizations):
     v = aug_mod_I2(realizations["Q8"].G)
     s = v.action_nilpotency_class(cap=20)
     doubled = [tuple(2 * c for c in e) for e in v.basis_vectors()]
-    quotient = QModule(v.gen_labels, list(v.relations) + doubled,
-                       v.acting_labels, v.action_matrices)
+    quotient = QModule(v.n, list(v.relations) + doubled, v.action_matrices)
     sq = quotient.action_nilpotency_class(cap=20)
     assert sq is not None and s is not None and sq <= s
 
@@ -134,7 +126,7 @@ def test_matched_generator_comparison_detects_mismatch(realizations):
     sec = ell_section_module(realizations["C3"])
     assert modules_agree_on_matched_generators(v1, sec.module)
     # perturb the action: C3's module is Z/3, doubling is not the identity
-    bad = QModule(v1.gen_labels, v1.relations, v1.acting_labels,
+    bad = QModule(v1.n, v1.relations,
                   [IntMatrix([[2 * x for x in row] for row in m.data])
                    for m in v1.action_matrices])
     assert not modules_agree_on_matched_generators(v1, bad)
@@ -142,8 +134,7 @@ def test_matched_generator_comparison_detects_mismatch(realizations):
 
 def test_submodule_closure():
     # Z/4 x Z/2 with a shear action that genuinely mixes the factors
-    v = QModule(["e0", "e1"], [(4, 0), (0, 2)], ["g"],
-                [IntMatrix([[1, 0], [1, 1]])])
+    v = QModule(2, [(4, 0), (0, 2)], [IntMatrix([[1, 0], [1, 1]])])
     sub = v.submodule([(2, 0)])
     assert len(sub) == 2                 # 2*e0 is fixed by the shear
     sub = v.submodule([(1, 0)])
@@ -157,4 +148,4 @@ def test_commuting_action_enforced():
     a = IntMatrix([[0, 1], [1, 0]])
     b = IntMatrix([[1, 1], [0, 1]])
     with pytest.raises(ArgumentError):
-        QModule(["x", "y"], [(5, 0), (0, 5)], ["p", "q"], [a, b])
+        QModule(2, [(5, 0), (0, 5)], [a, b])
