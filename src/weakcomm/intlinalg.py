@@ -88,31 +88,6 @@ class IntMatrix:
         return [sum(self.data[i][j] * vec[j] for j in range(self.cols))
                 for i in range(self.rows)]
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ArgumentError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r})"
 
@@ -315,10 +290,3 @@ def tensor(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
     orders += [d for d in a.invariant_factors for _ in range(b.free_rank)]
     orders += [e for e in b.invariant_factors for _ in range(a.free_rank)]
     return FinAbGroup.from_orders(orders, free)
-
-
-def direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
-    return FinAbGroup.from_orders(
-        list(a.invariant_factors) + list(b.invariant_factors),
-        a.free_rank + b.free_rank)
-

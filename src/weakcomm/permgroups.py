@@ -5,17 +5,21 @@ image of a word under a homomorphism is the product of the letter images in
 reading order.  Element-based operations (subgroup lattice, series, Engel
 checks) enumerate the group and refuse to run past a configurable guard;
 order alone falls back to a stabilizer chain, so it also works for groups
-well beyond the guard.
+well beyond the guard.  A subgroup is closed once: ``subgroup``,
+``from_elements`` and ``normal_closure`` return it with its elements
+already enumerated.
 
 Engel verification is a forall-forall property, so it is exhaustive over
 ordered pairs (never sampled); the inner loop is vectorized with numpy and
-the outer loop runs over conjugacy-class representatives of the second
+the outer loop runs over conjugacy-class representatives b of the second
 argument, which is sound because Engel words transform equivariantly under
-simultaneous conjugation.  Engel words of group elements are group
-elements, and two group elements that agree on a base (points fixed
-pointwise only by the identity) are equal, so the scan deduplicates its rows
-and tests them for the identity on the base columns alone; a regular
-group's base is a single point.
+simultaneous conjugation.  Since [x, b] = (b^x)^-1 b, the first step for b
+is the rows {c^-1 b : c in the class of b}, so it covers each element of
+the group once over all classes, not once per class.  Engel words of
+group elements are group elements, and two group elements that agree on a
+base (points fixed pointwise only by the identity) are equal, so the scan
+deduplicates its rows and tests them for the identity on the base columns
+alone; a regular group's base is a single point.
 """
 
 from __future__ import annotations
@@ -202,31 +206,38 @@ class PermGroup:
 
     # -- subgroup machinery --------------------------------------------------
 
-    def _make(self, gens: Sequence[Perm], known_order: int | None = None) -> "PermGroup":
-        return PermGroup(self.degree, gens, guard=self.guard, known_order=known_order)
+    def _closure(self, elems: Iterable[Perm]) -> "PermGroup":
+        """The subgroup generated by elems, returned with its elements
+        enumerated.  Its generators are a greedy subset of elems, each
+        element that the earlier ones do not generate (order-deterministic)."""
+        group = PermGroup(self.degree, [], guard=self.guard)
+        group.elements()
+        for e in elems:
+            if e not in group:
+                group = PermGroup(self.degree, group.generators + [e], guard=self.guard)
+                group.elements()
+        return group
 
     def subgroup(self, gens: Sequence[Perm]) -> "PermGroup":
-        return self._make(reduce_generators(self.degree, gens, self.guard))
+        return self._closure(gens)
 
     def from_elements(self, elems: Iterable[Perm]) -> "PermGroup":
-        return self._make(reduce_generators(self.degree, sorted(
-            (e for e in elems if not e.is_identity()), key=lambda p: p.img), self.guard))
+        return self._closure(sorted(
+            (e for e in elems if not e.is_identity()), key=lambda p: p.img))
 
     def normal_closure(self, gens: Sequence[Perm]) -> "PermGroup":
-        sub = [g for g in gens if not g.is_identity()]
-        closure = self._make(sub)
-        elems = set(closure.elements())
-        work = list(sub)
+        closure = PermGroup(self.degree, [g for g in gens if not g.is_identity()],
+                            guard=self.guard)
+        work = list(closure.generators)
         while work:
             s = work.pop()
             for g in self.generators:
                 t = s.conjugate(g)
-                if t not in elems:
-                    sub = sub + [t]
-                    closure = self._make(sub)
-                    elems = set(closure.elements())
+                if t not in closure:
+                    closure = PermGroup(self.degree, closure.generators + [t],
+                                        guard=self.guard)
                     work.append(t)
-        return self.from_elements(elems)
+        return self.from_elements(closure.elements())
 
     def intersection(self, other: "PermGroup") -> "PermGroup":
         if other.degree != self.degree:
@@ -275,29 +286,23 @@ class PermGroup:
 
     # -- Engel checks ----------------------------------------------------------
 
-    def conjugacy_class_reps(self) -> list[Perm]:
-        elems = list(self.elements())
-        todo = set(elems)
-        reps = []
-        for x in elems:
-            if x not in todo:
+    def conjugacy_classes(self) -> list[list[Perm]]:
+        """The conjugacy classes as orbits, each led by its representative."""
+        seen: set[Perm] = set()
+        classes = []
+        for x in self.elements():
+            if x in seen:
                 continue
-            reps.append(x)
-            orbit = {x}
-            work = [x]
-            while work:
-                y = work.pop()
+            seen.add(x)
+            orbit = [x]
+            for y in orbit:
                 for g in self.generators:
                     z = y.conjugate(g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        work.append(z)
-            todo -= orbit
-        return reps
-
-    def _element_matrix(self) -> np.ndarray:
-        elems = self.elements()
-        return np.array([p.img for p in elems], dtype=np.int64)
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            classes.append(orbit)
+        return classes
 
     def is_n_engel(self, n: int, guard: int | None = None) -> bool:
         """True iff the n-th Engel word vanishes for every ordered pair."""
@@ -316,32 +321,33 @@ class PermGroup:
         limit = self.guard if guard is None else guard
         if self.order() > limit:
             raise SizeGuardError(self.order(), limit, what="Engel check")
-        elem_matrix = self._element_matrix()
-        if elem_matrix.shape[0] == 1:
+        if self.order() == 1:
             return 1
-        base = _base_of_rows(elem_matrix)
+        classes = self.conjugacy_classes()
+        rows = np.array([c.img for cls in classes for c in cls], dtype=np.int64)
+        base = _base_of_rows(rows)
         identity = np.array(base, dtype=np.int64)
-        batch = max(1, 10_000_000 // max(1, self.degree))
         worst = 1
-        for b in self.conjugacy_class_reps():
-            barr = np.array(b.img, dtype=np.int64)
-            binv = np.array(b.inverse().img, dtype=np.int64)
-            for start in range(0, elem_matrix.shape[0], batch):
-                gamma = self._engel_step(elem_matrix[start:start + batch], barr, binv)
-                k = 1
-                while True:
-                    # equal base images mean equal elements, so dedupe and
-                    # test for the identity on the base columns alone
-                    images, keep = np.unique(gamma[:, base], axis=0, return_index=True)
-                    live = ~(images == identity).all(axis=1)
-                    gamma = gamma[keep[live]]
-                    if gamma.shape[0] == 0:
-                        break
-                    if k >= cap:
-                        return None
-                    gamma = self._engel_step(gamma, barr, binv)
-                    k += 1
-                worst = max(worst, k)
+        for block in np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1]):
+            barr = block[0]             # the class representative b
+            binv = np.argsort(barr)
+            # [x, b] = (b^x)^-1 b, and b^x runs over b's class as x runs
+            # over the group: one first-step row c^-1 b per class member c
+            gamma = barr[np.argsort(block, axis=1)]
+            k = 1
+            while True:
+                # equal base images mean equal elements, so dedupe and
+                # test for the identity on the base columns alone
+                images, keep = np.unique(gamma[:, base], axis=0, return_index=True)
+                live = ~(images == identity).all(axis=1)
+                gamma = gamma[keep[live]]
+                if gamma.shape[0] == 0:
+                    break
+                if k >= cap:
+                    return None
+                gamma = self._engel_step(gamma, barr, binv)
+                k += 1
+            worst = max(worst, k)
         return worst
 
     @staticmethod
@@ -368,18 +374,6 @@ def _base_of_rows(rows: np.ndarray) -> list[int]:
             base.append(pt)
             rows = rows[fixes]
     return base
-
-
-def reduce_generators(degree: int, elems: Sequence[Perm], guard: int) -> list[Perm]:
-    """Greedy generating subset of an element collection (order-deterministic)."""
-    gens: list[Perm] = []
-    have: set[Perm] = {Perm.identity(degree)}
-    for e in elems:
-        if e in have:
-            continue
-        gens.append(e)
-        have = set(PermGroup(degree, gens, guard=guard).elements())
-    return gens
 
 
 # -- stabilizer chain ---------------------------------------------------------

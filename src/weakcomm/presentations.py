@@ -231,11 +231,14 @@ def abelianization(p: Presentation) -> FinAbGroup:
     return cokernel(exponent_matrix(p))
 
 
-def require_finite(p: Presentation, max_cosets: int) -> None:
-    """SizeGuardError when the free rank is positive: the group is infinite,
-    so no coset budget suffices and enumerating would only exhaust it."""
-    if free_rank := abelianization(p).free_rank:
-        raise SizeGuardError(f"infinite (free rank {free_rank})", max_cosets)
+def require_finite(p: Presentation, max_cosets: int) -> FinAbGroup:
+    """The abelianization, or SizeGuardError when its free rank is positive:
+    the group is infinite, so no coset budget suffices and enumerating would
+    only exhaust it."""
+    q = abelianization(p)
+    if q.free_rank:
+        raise SizeGuardError(f"infinite (free rank {q.free_rank})", max_cosets)
+    return q
 
 
 def _renamed(p: Presentation, suffix: str) -> Presentation:

@@ -27,8 +27,8 @@ from .errors import ArgumentError, CheckFailure
 from .intlinalg import FinAbGroup
 from .permgroups import (GroupHom, Perm, PermGroup, block_perm, commutator,
                          evaluate, quotient_realization)
-from .presentations import (Presentation, abelianization, double_presentation,
-                            element_witnesses)
+from .presentations import (Presentation, double_presentation, element_witnesses,
+                            require_finite)
 from .words import Word, bar_word, pi_word, rho_word
 from . import zqmodules
 
@@ -98,10 +98,12 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     group is not of order [X : split copy] |G|.  L and D are the elements of
     X fixing the first point of rho block 1, and of blocks 0 and 2; W is
     checked against ``_w_members``, and the centrality and image checks run
-    on generators.
+    on generators.  SizeGuardError, before any enumeration, when the base
+    has positive free rank.
     """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
+    Q = require_finite(pres, max_cosets)
 
     base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
     G = perm_realization(base_table, guard=guard)
@@ -144,7 +146,6 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     W = D_ker.intersection(L_ker)
     DL = X.subgroup(list(D_ker.generators) + list(L_ker.generators))
     G_split = X.subgroup(x_images)
-    Q = abelianization(pres)
 
     x = XRealization(
         presentation=pres, double=double, G=G, X=X, x_images=x_images,
@@ -288,7 +289,9 @@ def engel_certificate(x: XRealization, guard: int | None = None,
     d: nilpotency class of the metabelianization G/G''.
     s: nilpotency class of the action on the letter-difference section,
        computed on the augmentation-quotient model.
-    The verdict is the exhaustive m-Engel check on the double.
+    One exhaustive Engel scan of the double, capped at m, gives its minimal
+    Engel class; the verdict is "that class exists and is at most m", which
+    is exactly the m-Engel property.
     """
     G, X = x.G, x.X
     class_g = G.nilpotency_class()
@@ -309,8 +312,8 @@ def engel_certificate(x: XRealization, guard: int | None = None,
         raise CheckFailure("action_nilpotency_terminates",
                            "no s within |V|+3: implementation error")
     m = n + d + s + 3
-    verdict = X.is_n_engel(m, guard=guard)
     minimal_x = X.minimal_engel_class(cap=m, guard=guard)
+    verdict = minimal_x is not None
     report = {"n": n, "d": d, "s": s, "m": m, "verdict": verdict,
               "minimal_engel_class_of_double": minimal_x,
               "bound_gap": None if minimal_x is None else m - minimal_x}
@@ -321,7 +324,7 @@ def engel_certificate(x: XRealization, guard: int | None = None,
 
 def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict:
     """Large-instance checks for a perfect base group (ArgumentError if the
-    base is not perfect).
+    base is not perfect, SizeGuardError before enumerating if it is infinite).
 
     As in ``build``, the double is enumerated over the split copy of the
     base: the cosets biject with the letter-difference kernel L, so the
@@ -338,6 +341,7 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
     The base is enumerated once; its table also supplies the witnesses of
     the double.
     """
+    require_finite(pres, max_cosets)
     base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
     G = perm_realization(base_table, guard=10 ** 7)
     if G.derived_subgroup().order() != G.order():
@@ -347,7 +351,7 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
     index = table.n_cosets                      # = |L|
     x_order = index * G.order()
 
-    im_rho = PermGroup(3 * G.degree, _rho_images(G), guard=2, known_order=None)
+    im_rho = PermGroup(3 * G.degree, _rho_images(G), guard=2)
     im_rho_order = im_rho.order()               # stabilizer chain
     im_rho_full = im_rho_order == G.order() ** 3
     w_order, rem = divmod(x_order, im_rho_order)

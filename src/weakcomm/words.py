@@ -137,9 +137,6 @@ class Word:
             letters = letters[1:-1]
         return Word(letters)
 
-    def generators_used(self) -> set[GenSymbol]:
-        return {sym.generator for sym in self.letters}
-
     def exponent_sum(self, gen: GenSymbol) -> int:
         g = gen.generator
         return sum(sym.sign for sym in self.letters if sym.generator == g)
@@ -213,11 +210,6 @@ def engel_word(x: Word, y: Word, n: int) -> Word:
     for _ in range(n - 1):
         acc = commutator(acc, y)
     return acc
-
-
-def ell(name: str) -> Word:
-    """The letter difference l_g = g^-1 * g~."""
-    return Word([GenSymbol(name, False, -1), GenSymbol(name, True, 1)])
 
 
 # -- structural maps of the double ------------------------------------------

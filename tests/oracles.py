@@ -4,8 +4,10 @@ Nothing here imports the package's own linear algebra or group machinery:
 permutations are raw tuples, determinants are Laplace expansions, and group
 structure comes from explicit multiplication tables, so the expected values
 frozen into the test suite are computed along genuinely different paths.
-The one exception is the last section: replaced algorithms kept as they
-were, so that differential tests can run the replacement against them.
+Two exceptions: ``direct_sum`` builds a ``FinAbGroup``, the type the tensor
+laws are stated on, from invariant factors alone; and the last section holds
+replaced algorithms kept as they were, so that differential tests can run
+the replacement against them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from itertools import combinations
 
 from weakcomm.enumerator import _Enumeration
+from weakcomm.intlinalg import FinAbGroup
 from weakcomm.isoperimetry import _abelian_feasible
 from weakcomm.presentations import Presentation
 from weakcomm.words import Word, reduced_words
@@ -185,6 +188,12 @@ def det_laplace(rows) -> int:
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * head * det_laplace(minor)
     return total
+
+
+def direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
+    return FinAbGroup.from_orders(
+        list(a.invariant_factors) + list(b.invariant_factors),
+        a.free_rank + b.free_rank)
 
 
 def minors_gcd(rows, k: int) -> int:

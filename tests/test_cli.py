@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakcomm import cli, decision, enumerator
+from weakcomm import cli, decision, enumerator, sidki
 from weakcomm.cli import main
 from weakcomm.errors import AlphabetError, WeakcommError
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
@@ -21,7 +21,7 @@ def enumerated(monkeypatch):
         calls.append(pres)
         return real(pres, *args, **kwargs)
 
-    for module in (enumerator, decision, cli):
+    for module in (enumerator, decision, cli, sidki):
         monkeypatch.setattr(module, "enumerate_cosets", counting)
     return calls
 
@@ -188,6 +188,14 @@ def test_realize_refuses_an_infinite_group_before_enumerating(enumerated, capsys
     assert main(["realize", "-p", "< a | a^100 >", "--max-cosets", "50"]) == 2
     assert len(enumerated) == 1
     assert "exceeded budget of 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "engel", "modules"])
+def test_structure_commands_refuse_an_infinite_base_before_enumerating(
+        enumerated, capsys, command):
+    assert main([command, "-p", "< a | >"]) == 2
+    assert "infinite (free rank 1)" in capsys.readouterr().err
+    assert enumerated == []
 
 
 @pytest.mark.parametrize("error, code, label", [

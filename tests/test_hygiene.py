@@ -1,12 +1,32 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every function, class and method it defines has a caller outside the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "weakcomm"
+import weakcomm
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weakcomm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLER_DIRS = ("src", "scripts", "perfbench")
+
+# definitions with no caller outside the tests, each with its reason; the
+# package exports (``weakcomm.__all__``) need no entry
+NO_CALLER_NEEDED = {
+    "cli._Parser.error": "argparse calls it on a malformed command line",
+    "permgroups.PermGroup.center": "a perfbench/tracer.py target",
+    "permgroups.PermGroup.is_n_engel": "a perfbench/tracer.py target",
+    "permgroups.GroupHom.kernel": "a perfbench/tracer.py target",
+    **{f"isoperimetry.{name}": "isoperimetry experiment, verified by "
+       "acceptance criteria 8 and 9"
+       for name in ("central_transform", "distortion_bracket",
+                    "c_n_candidate_l_word", "c_n_letters",
+                    "free_commutator_instance", "lifting_to_json",
+                    "lifting_from_json", "rho_of_spelling", "pbar_image")},
+}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -27,3 +47,46 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def definitions(path: Path) -> list[str]:
+    """Top-level functions and classes, and the methods of the classes,
+    as ``module.name`` and ``module.Class.method``; dunder methods are
+    called by the language, so they are left out."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(f"{path.stem}.{node.name}")
+        if isinstance(node, ast.ClassDef):
+            out += [f"{path.stem}.{node.name}.{sub.name}" for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    return out
+
+
+def referenced_names() -> set[str]:
+    """Every name and attribute that code outside the tests mentions."""
+    names = set()
+    for folder in CALLER_DIRS:
+        for path in (ROOT / folder).rglob("*.py"):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    referenced = referenced_names() | set(weakcomm.__all__)
+    uncalled = [d for path in MODULES for d in definitions(path)
+                if d.rsplit(".", 1)[1] not in referenced
+                and d not in NO_CALLER_NEEDED]
+    assert uncalled == []
+
+
+def test_every_allowed_definition_exists():
+    defined = {d for path in MODULES for d in definitions(path)}
+    assert set(NO_CALLER_NEEDED) <= defined

@@ -286,7 +286,7 @@ def test_reduce_to_free_area_random_round_trips():
         w = Word(rng.choice(letters) for _ in range(rng.randrange(0, 13)))
         v, thetas = reduce_to_free_area(w)   # re-multiplication checked inside
         assert len(thetas) <= len(w)
-        assert all(not t.generators_used() - {GenSymbol("l_a"), GenSymbol("l_b")}
+        assert all({s.generator for s in t} <= {GenSymbol("l_a"), GenSymbol("l_b")}
                    for _, t in thetas)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,10 @@ from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 
 from .oracles import (closure, pcompose, pinverse, quaternion_group,
                       s3_generators)
+
+
+def element_matrix(group):
+    return np.array([p.img for p in group.elements()], dtype=np.int64)
 
 
 def s3_regular():
@@ -109,6 +114,31 @@ def test_normal_closure_conjugation_invariant():
     assert closure_of_gen.order() == 6       # transpositions normally generate S3
 
 
+def test_subgroups_come_back_closed(monkeypatch):
+    s3 = s3_regular()
+    a, b = s3.generators
+    groups = [s3.subgroup([]), s3.subgroup([a]), s3.subgroup([a, b, a * b]),
+              s3.from_elements(s3.elements()), s3.normal_closure([a * b])]
+    products = 0
+    real = Perm.__mul__
+
+    def counting(p, q):
+        nonlocal products
+        products += 1
+        return real(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    orders = [g.order() for g in groups]
+    enumerated = [list(g.elements().items()) for g in groups]
+    assert products == 0
+    monkeypatch.undo()
+    assert orders == [1, 2, 6, 6, 3]
+    # the same elements, in the same order with the same words, as a fresh
+    # enumeration from the chosen generators
+    assert enumerated == [list(PermGroup(g.degree, g.generators).elements().items())
+                          for g in groups]
+
+
 def test_engel_checks():
     abelian = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([0, 1, 3, 2])])
     assert abelian.minimal_engel_class(cap=3) == 1
@@ -175,7 +205,7 @@ def test_engel_scan_matches_brute_force(gens, base_size, engel):
     assert group.minimal_engel_class(cap=4) == engel
     for n in range(1, 5):
         assert group.is_n_engel(n) == (engel is not None and engel <= n)
-    assert len(_base_of_rows(group._element_matrix())) == base_size
+    assert len(_base_of_rows(element_matrix(group))) == base_size
 
 
 @settings(max_examples=50, deadline=None)
@@ -186,19 +216,26 @@ def test_engel_scan_matches_brute_force_on_random_groups(gens):
     assert group.minimal_engel_class(cap=3) == brute_engel_class(gens, cap=3)
 
 
+@pytest.mark.parametrize("name", ["C2xC2", "C4", "S3", "D4", "Q8"])
+def test_engel_scan_matches_brute_force_on_suite_doubles(realizations, name):
+    x = realizations[name].X
+    gens = [g.img for g in x.generators]
+    assert x.minimal_engel_class(cap=4) == brute_engel_class(gens, cap=4)
+
+
 @pytest.mark.parametrize("gens", [
     D4_ON_4, S3xC2_ON_5, D4xC2_ON_6, D8_ON_8, s3_generators(),
     quaternion_group().regular_permutations(["i", "j"])])
 def test_base_is_fixed_pointwise_only_by_the_identity(gens):
     group = PermGroup(len(gens[0]), [Perm(g) for g in gens])
-    base = _base_of_rows(group._element_matrix())
+    base = _base_of_rows(element_matrix(group))
     fixers = [p for p in closure(gens) if all(p[b] == b for b in base)]
     assert fixers == [tuple(range(len(gens[0])))]
 
 
 def test_base_of_a_regular_group_is_one_point():
-    assert _base_of_rows(s3_regular()._element_matrix()) == [0]
-    assert _base_of_rows(q8_from_table()[0]._element_matrix()) == [0]
+    assert _base_of_rows(element_matrix(s3_regular())) == [0]
+    assert _base_of_rows(element_matrix(q8_from_table()[0])) == [0]
 
 
 def test_hom_kernel_image_orders():

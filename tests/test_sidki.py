@@ -218,6 +218,39 @@ def test_build_larger_bases(text, x_order):
     assert x.X.order() == x_order
 
 
+LARGER_NILPOTENT = {     # text, and (n, d, s, m, minimal Engel class of X)
+    "D8": ("< r, s | r^8, s^2, (r*s)^2 >", (3, 3, 2, 11, 4)),
+    "Q16": ("< a, b | a^8, b^2*a^-4, b^-1*a*b*a >", (3, 3, 2, 11, 3)),
+    "C4xC4": ("< a, b | a^4, b^4, [a, b] >", (1, 1, 2, 7, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGER_NILPOTENT))
+def test_engel_bound_on_larger_nilpotent_bases(name):
+    text, expected = LARGER_NILPOTENT[name]
+    cert = sidki.engel_certificate(sidki.build(parse_presentation(text)))
+    assert cert["verdict"] is True
+    assert cert["m"] == cert["n"] + cert["d"] + cert["s"] + 3
+    assert (cert["n"], cert["d"], cert["s"], cert["m"],
+            cert["minimal_engel_class_of_double"]) == expected
+    assert cert["bound_gap"] == expected[3] - expected[4]
+
+
+def test_engel_certificate_scans_the_double_once(realizations, monkeypatch):
+    x = realizations["Q8"]
+    scanned = []
+    real = PermGroup._engel_scan
+
+    def spy(group, *args, **kwargs):
+        scanned.append(group)
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "_engel_scan", spy)
+    cert = sidki.engel_certificate(x)
+    assert sum(group is x.X for group in scanned) == 1
+    assert cert["verdict"] is True and cert["minimal_engel_class_of_double"] == 2
+
+
 def test_verification_report_shape(realizations):
     rep = sidki.verification_report(realizations["C4"], include_engel=True)
     assert rep["orders"]["X"] == 16

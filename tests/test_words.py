@@ -4,13 +4,14 @@ from hypothesis import given, strategies as st
 from weakcomm import words as words_module
 from weakcomm.errors import AlphabetError, ArgumentError, ParseError
 from weakcomm.words import (GenSymbol, Word, bar_word, commutator, engel_word,
-                            ell, format_word, free_reduce, gen, left_normed,
+                            format_word, free_reduce, gen, left_normed,
                             parse_word, pi_word, pibar_word, reduced_words,
                             rho_word)
 
 A, B = GenSymbol("a"), GenSymbol("b")
 ABAR = GenSymbol("a", bar=True)
 ALPHABET = (A, B, ABAR, GenSymbol("b", bar=True))
+L_A = Word([A.inverse(), ABAR])     # the letter difference l_a = a^-1 a~
 
 symbols = st.sampled_from([GenSymbol(n, b, s) for n in "ab"
                            for b in (False, True) for s in (1, -1)])
@@ -72,9 +73,7 @@ def test_engel_words():
 
 
 def test_structural_map_examples():
-    la = ell("a")
-    assert la == Word([A.inverse(), ABAR])
-    first, second, third = rho_word(la)
+    first, second, third = rho_word(L_A)
     assert first == gen("a") ** -1
     assert second == Word()
     assert third == gen("a")
@@ -122,7 +121,7 @@ def test_parse_examples():
 
 
 def test_parse_letter_difference_token():
-    assert parse_word("l_a", ALPHABET) == ell("a")
+    assert parse_word("l_a", ALPHABET) == L_A
     # a literal generator named l_a wins over the derived notation
     lit = (GenSymbol("l_a"),)
     assert parse_word("l_a", lit) == Word([GenSymbol("l_a")])
