@@ -13,6 +13,7 @@ matrices of desk-scale groups), so no fast path is attempted.  Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,8 +86,7 @@ class IntMatrix:
         """Matrix * column vector."""
         if len(vec) != self.cols:
             raise ArgumentError("vector length mismatch")
-        return [sum(self.data[i][j] * vec[j] for j in range(self.cols))
-                for i in range(self.rows)]
+        return [sum(map(operator.mul, row, vec)) for row in self.data]
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r})"

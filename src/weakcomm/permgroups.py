@@ -5,9 +5,14 @@ image of a word under a homomorphism is the product of the letter images in
 reading order.  Element-based operations (subgroup lattice, series, Engel
 checks) enumerate the group and refuse to run past a configurable guard;
 order alone falls back to a stabilizer chain, so it also works for groups
-well beyond the guard.  A subgroup is closed once: ``subgroup``,
-``from_elements`` and ``normal_closure`` return it with its elements
-already enumerated.
+well beyond the guard.  Subgroups are closed by coset extension (Dimino's
+method): a kept generator y grows the closed set H by its right cosets
+H y, H y s, ..., so each element is made once.  ``subgroup``,
+``from_elements`` and ``normal_closure`` return their group with its
+elements enumerated by one breadth-first search over the chosen generators,
+which fixes the element order and the words.  A pointwise stabilizer is
+closed from Schreier generators, without enumerating the group, and gives
+the group's order by orbit-stabilizer.
 
 Engel verification is a forall-forall property, so it is exhaustive over
 ordered pairs (never sampled); the inner loop is vectorized with numpy and
@@ -206,16 +211,42 @@ class PermGroup:
 
     # -- subgroup machinery --------------------------------------------------
 
+    def _span(self, elems: Iterable[Perm], gens: list[Perm] | None = None,
+              members: set[Perm] | None = None) -> tuple[list[Perm], set[Perm]]:
+        """The greedy generators and the element set of <gens, elems>.
+
+        Each element of elems that the span does not contain yet becomes a
+        generator (order-deterministic), and the span H grows by its right
+        cosets H y, H y s, ... until right multiplication by every generator
+        s is closed (Dimino's method), so each element is made once.
+        ``members`` is the element set of <gens>; both grow in place.
+        SizeGuardError once the span would pass the guard.
+        """
+        if members is None:
+            gens, members = [], {Perm.identity(self.degree)}
+        guard = self.guard
+        for y in elems:
+            if y in members:
+                continue
+            gens.append(y)
+            block = list(members)
+            reps = [y]
+            for z in reps:          # candidate coset representatives; grows
+                if z in members:
+                    continue
+                if len(members) + len(block) > guard:
+                    raise SizeGuardError(f"> {guard}", guard)
+                members.update([h * z for h in block])
+                reps.extend([z * s for s in gens])
+        return gens, members
+
     def _closure(self, elems: Iterable[Perm]) -> "PermGroup":
         """The subgroup generated by elems, returned with its elements
-        enumerated.  Its generators are a greedy subset of elems, each
-        element that the earlier ones do not generate (order-deterministic)."""
-        group = PermGroup(self.degree, [], guard=self.guard)
+        enumerated by one breadth-first search over its generators, a
+        greedy subset of elems (see ``_span``)."""
+        gens, _ = self._span(elems)
+        group = PermGroup(self.degree, gens, guard=self.guard)
         group.elements()
-        for e in elems:
-            if e not in group:
-                group = PermGroup(self.degree, group.generators + [e], guard=self.guard)
-                group.elements()
         return group
 
     def subgroup(self, gens: Sequence[Perm]) -> "PermGroup":
@@ -226,18 +257,35 @@ class PermGroup:
             (e for e in elems if not e.is_identity()), key=lambda p: p.img))
 
     def normal_closure(self, gens: Sequence[Perm]) -> "PermGroup":
-        closure = PermGroup(self.degree, [g for g in gens if not g.is_identity()],
-                            guard=self.guard)
-        work = list(closure.generators)
+        # one span, grown by each conjugate of its generators it lacks
+        span_gens, members = self._span(gens)
+        conjugators = [(g.inverse(), g) for g in self.generators]
+        work = list(span_gens)
         while work:
             s = work.pop()
-            for g in self.generators:
-                t = s.conjugate(g)
-                if t not in closure:
-                    closure = PermGroup(self.degree, closure.generators + [t],
-                                        guard=self.guard)
+            for g_inv, g in conjugators:
+                t = g_inv * s * g
+                if t not in members:
+                    self._span([t], span_gens, members)
                     work.append(t)
-        return self.from_elements(closure.elements())
+        return self.from_elements(members)
+
+    def pointwise_stabilizer(self, points: Sequence[int]) -> set[Perm]:
+        """The elements fixing every one of the points, without enumerating
+        the group: level by level, the span of the Schreier generators of the
+        next point's stabilizer in the last level.  As a by-product the
+        group's order is known by orbit-stabilizer, the product of the orbit
+        lengths along the levels times the order of the last level."""
+        if not points:
+            raise ArgumentError("pointwise_stabilizer needs a point")
+        gens, order = self.generators, 1
+        for pt in points:
+            transversal, schreier = _schreier_generators(gens, pt, self.degree)
+            gens, members = self._span(schreier)
+            order *= len(transversal)
+        if self._order is None:
+            self._order = order * len(members)
+        return members
 
     def intersection(self, other: "PermGroup") -> "PermGroup":
         if other.degree != self.degree:
@@ -290,14 +338,15 @@ class PermGroup:
         """The conjugacy classes as orbits, each led by its representative."""
         seen: set[Perm] = set()
         classes = []
+        conjugators = [(g.inverse(), g) for g in self.generators]
         for x in self.elements():
             if x in seen:
                 continue
             seen.add(x)
             orbit = [x]
             for y in orbit:
-                for g in self.generators:
-                    z = y.conjugate(g)
+                for g_inv, g in conjugators:
+                    z = g_inv * y * g
                     if z not in seen:
                         seen.add(z)
                         orbit.append(z)
@@ -378,6 +427,26 @@ def _base_of_rows(rows: np.ndarray) -> list[int]:
 
 # -- stabilizer chain ---------------------------------------------------------
 
+def _schreier_generators(gens: Sequence[Perm], point: int, degree: int
+                         ) -> tuple[dict[int, Perm], list[Perm]]:
+    """The transversal of the orbit of point, t_a the breadth-first tree path
+    from point to a (keyed in breadth-first order), and the Schreier
+    generators t_a g t_(a^g)^-1 of the stabilizer of point, which by
+    Schreier's lemma generate it."""
+    transversal = {point: Perm.identity(degree)}
+    orbit = [point]
+    for a in orbit:
+        ta = transversal[a]
+        for g in gens:
+            b = g.img[a]
+            if b not in transversal:
+                transversal[b] = ta * g
+                orbit.append(b)
+    inverses = {b: t.inverse() for b, t in transversal.items()}
+    return transversal, [ta * g * inverses[g.img[a]]
+                         for a, ta in transversal.items() for g in gens]
+
+
 def _chain_order(gens: Sequence[Perm], degree: int) -> int:
     chain = _stabilizer_chain([g for g in gens if not g.is_identity()], degree)
     n = 1
@@ -401,27 +470,15 @@ def _stabilizer_chain(gens: list[Perm], degree: int):
     if not gens:
         return []
     pt = min(i for g in gens for i in range(degree) if g.img[i] != i)
-    transversal = {pt: Perm.identity(degree)}
-    queue = [pt]
-    while queue:
-        a = queue.pop(0)
-        ta = transversal[a]
-        for g in gens:
-            b = g.img[a]
-            if b not in transversal:
-                transversal[b] = ta * g
-                queue.append(b)
+    transversal, schreier = _schreier_generators(gens, pt, degree)
     stab_gens: list[Perm] = []
     subchain = []
-    for a in sorted(transversal):
-        ta = transversal[a]
-        for g in gens:
-            sg = ta * g * transversal[g.img[a]].inverse()
-            if sg.is_identity():
-                continue
-            if not _sift(subchain, sg).is_identity():
-                stab_gens.append(sg)
-                subchain = _stabilizer_chain(stab_gens, degree)
+    for sg in schreier:
+        if sg.is_identity():
+            continue
+        if not _sift(subchain, sg).is_identity():
+            stab_gens.append(sg)
+            subchain = _stabilizer_chain(stab_gens, degree)
     return [(pt, transversal)] + subchain
 
 

@@ -11,10 +11,11 @@ map rho: g -> (g, g, 1), barg -> (1, g, g), extracts the structural subgroups
 and machine-checks every structural identity the construction promises.  pi
 is rho's second coordinate and pi x pibar its first and third, and G acts
 regularly on each rho block, so L and D are the stabilizers of one point per
-block.  W has one more routine, ``_w_members``, shared with
-``perfect_base_report``: it reads the members of ker rho off the coset
-words.  A failing check aborts with a witness: it would indicate an
-implementation bug, not a mathematical surprise.
+block, taken from Schreier generators; X itself is enumerated only by an
+element-wise check, the Engel scan.  W has one more routine,
+``_w_members``, shared with ``perfect_base_report``: it reads the members
+of ker rho off the coset words.  A failing check aborts with a witness: it
+would indicate an implementation bug, not a mathematical surprise.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .enumerator import CosetTable, enumerate_cosets, perm_realization, signed_letters
-from .errors import ArgumentError, CheckFailure
+from .errors import ArgumentError, CheckFailure, SizeGuardError
 from .intlinalg import FinAbGroup
 from .permgroups import (GroupHom, Perm, PermGroup, block_perm, commutator,
                          evaluate, quotient_realization)
 from .presentations import (Presentation, double_presentation, element_witnesses,
                             require_finite)
-from .words import Word, bar_word, pi_word, rho_word
+from .words import GenSymbol, Word, bar_word, pi_word
 from . import zqmodules
 
 
@@ -94,12 +95,14 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     X is generated by the coset action on the split copy times rho, which is
     faithful because the split copy meets the kernel of rho trivially; its
-    degree is [X : split copy] + 3 |G|.  CheckFailure when the generated
-    group is not of order [X : split copy] |G|.  L and D are the elements of
-    X fixing the first point of rho block 1, and of blocks 0 and 2; W is
-    checked against ``_w_members``, and the centrality and image checks run
-    on generators.  SizeGuardError, before any enumeration, when the base
-    has positive free rank.
+    degree is [X : split copy] + 3 |G|.  L and D are the pointwise
+    stabilizers of the first point of rho block 1, and of blocks 0 and 2,
+    closed from Schreier generators without enumerating X; |X| is the length
+    of the block-1 orbit times |L| (orbit-stabilizer).  CheckFailure when
+    that is not [X : split copy] |G|, SizeGuardError when it passes the
+    guard.  W is checked against ``_w_members``, and the centrality and
+    image checks run on generators.  SizeGuardError, before any
+    enumeration, when the base has positive free rank.
     """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
@@ -118,8 +121,16 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     X = PermGroup(index + 3 * gdeg,
                   [block_perm([c, r]) for c, r in zip(table.action, rho_images)],
                   guard=guard)
+    # G is regular, so x is trivial in rho-coordinate k iff x fixes the
+    # first point of that block: pi is coordinate 1, pi x pibar are 0 and 2.
+    # The stabilizer of the block-1 point also gives |X| by orbit-stabilizer
+    L_members = X.pointwise_stabilizer([index + gdeg])
     if X.order() != index * G.order():
         raise CheckFailure("faithful_realization", (X.order(), index * G.order()))
+    if X.order() > guard:
+        raise SizeGuardError(f"> {guard}", guard)
+    L_ker = X.from_elements(L_members)
+    D_ker = X.from_elements(X.pointwise_stabilizer([index, index + 2 * gdeg]))
     signed_relators = [signed_letters(double, r) for r in double.relators]
 
     ngens = len(pres.generators)
@@ -131,20 +142,15 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
                   relators=signed_relators)
     # rho: X -> G x G x G with g -> (g, g, 1) and barg -> (1, g, g)
     im_rho = PermGroup(3 * gdeg, rho_images, guard=max(guard, G.order() ** 3 + 1))
+    im_rho.pointwise_stabilizer([0, gdeg])  # gives its order, not enumerating it
     rho = GroupHom(X, im_rho, rho_images, relators=signed_relators)
 
-    # G is regular, so x is trivial in rho-coordinate k iff x fixes the
-    # first point of that block: pi is coordinate 1, pi x pibar are 0 and 2
-    def fixing(*coords: int) -> list[Perm]:
-        points = [index + k * gdeg for k in coords]
-        return [p for p in X.elements() if all(p.img[q] == q for q in points)]
-
-    L_ker = X.from_elements(fixing(1))
-    D_ker = X.from_elements(fixing(0, 2))
     D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 
     W = D_ker.intersection(L_ker)
-    DL = X.subgroup(list(D_ker.generators) + list(L_ker.generators))
+    # reports read only DL's generators and order, so it keeps no elements
+    DL_gens, DL_members = X._span(list(D_ker.generators) + list(L_ker.generators))
+    DL = PermGroup(X.degree, DL_gens, guard=guard, known_order=len(DL_members))
     G_split = X.subgroup(x_images)
 
     x = XRealization(
@@ -157,12 +163,12 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
         x.ell_images[g_elem] = x.element(w).inverse() * x.element(bar_word(w))
 
     # --- structural checks -------------------------------------------------
-    L_sub = X.subgroup(list(x.ell_images.values()))
+    L_sub_gens, L_sub = X._span(list(x.ell_images.values()))
     x.check("L_generated_by_letter_differences",
-            L_sub.order() == L_ker.order() and
-            all(g in L_ker.elements() for g in L_sub.generators))
+            len(L_sub) == L_ker.order() and
+            all(g in L_ker.elements() for g in L_sub_gens))
     L_nc = X.normal_closure(list(x.ell_images.values()))
-    x.check("L_subgroup_equals_normal_closure", L_nc.order() == L_sub.order())
+    x.check("L_subgroup_equals_normal_closure", L_nc.order() == len(L_sub))
     x.check("D_normal_closure_equals_kernel",
             D_nc.order() == D_ker.order() and
             all(g in D_ker.elements() for g in D_nc.generators))
@@ -230,12 +236,38 @@ def _w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
     lies in W iff rho_word(w) = (pi w, pi w, 1); the middle coordinate of
     rho_word(w) is pi w letter for letter, so that is first == second and a
     trivial third.  The base table is regular, so words are equal in G iff
-    they reach one coset from coset 0.
+    they reach one coset from coset 0.  The coordinates are traced along the
+    breadth-first tree of ``coset_words``, one base-column step each per
+    coset, and words are spelled out for the members alone.
     """
+    base_columns = {(g.name, sign): base_table.columns[2 * i + (sign < 0)]
+                    for i, g in enumerate(base_table.generators) for sign in (1, -1)}
+    letters = [(GenSymbol(g.name, g.bar, sign), table.columns[2 * i + (sign < 0)],
+                base_columns[g.name, sign])
+               for i, g in enumerate(table.generators) for sign in (1, -1)]
+    n = table.n_cosets
+    coords: list[tuple[int, int, int] | None] = [None] * n
+    parent = [0] * n
+    via: list[GenSymbol | None] = [None] * n
+    coords[0] = (0, 0, 0)
+    queue = [0]
+    for c in queue:
+        first, second, third = coords[c]
+        for sym, col, base_col in letters:
+            d = col[c]
+            if coords[d] is None:
+                coords[d] = ((first, base_col[second], base_col[third]) if sym.bar
+                             else (base_col[first], base_col[second], third))
+                parent[d], via[d] = c, sym
+                queue.append(d)
     members: list[Word] = []
-    for w in table.coset_words():
-        first, second, third = (base_table.trace_word(0, u) for u in rho_word(w))
+    for c, (first, second, third) in enumerate(coords):
         if first == second and third == 0:
+            path = []
+            while c:                    # back up the tree to coset 0
+                path.append(via[c])
+                c = parent[c]
+            w = Word(reversed(path))
             members.append(pi_word(w).inverse() * w)
     return members
 
@@ -249,19 +281,24 @@ def _ell_identity(x: XRealization, samples: int | None, rng: Random
         pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-    # the images of x and bar x in X, once per base element
-    images = {j: (x.element(x.G_words[j]), x.element(bar_word(x.G_words[j])))
-              for j in {j for _, j in pairs}}
+    # per base element x, its images x and bar x in X and the products that
+    # recast the identities without conjugation: l_u x l_x = x l_{ux}
+    # and l_u bar x = bar x l_x^-1 l_{ux}; the inverse of l_x is taken once
+    images = {}
+    for j in {j for _, j in pairs}:
+        img_x = x.element(x.G_words[j])
+        img_xbar = x.element(bar_word(x.G_words[j]))
+        lx = x.ell_images[x.G_elements[j]]
+        images[j] = (img_x, img_x * lx, img_xbar, img_xbar * lx.inverse())
     for i, j in pairs:
         u, xg = x.G_elements[i], x.G_elements[j]
         wu, wx = x.G_words[i], x.G_words[j]
         lu = x.ell_images[u]
-        lx = x.ell_images[xg]
         lux = x.ell_images[u * xg]
-        img_x, img_xbar = images[j]
-        if lu.conjugate(img_x) != lux * lx.inverse():
+        img_x, x_lx, img_xbar, xbar_lx_inv = images[j]
+        if lu * x_lx != img_x * lux:
             return False, ("unbarred", str(wu), str(wx))
-        if lu.conjugate(img_xbar) != lx.inverse() * lux:
+        if lu * img_xbar != xbar_lx_inv * lux:
             return False, ("barred", str(wu), str(wx))
     return True, None
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from weakcomm.enumerator import _Enumeration
+from weakcomm.enumerator import CosetTable, _Enumeration
 from weakcomm.intlinalg import FinAbGroup
 from weakcomm.isoperimetry import _abelian_feasible
+from weakcomm.permgroups import Perm, PermGroup
 from weakcomm.presentations import Presentation
-from weakcomm.words import Word, reduced_words
+from weakcomm.words import Word, pi_word, reduced_words, rho_word
 
 
 # -- raw permutation helpers ------------------------------------------------
@@ -400,3 +401,36 @@ def word_minimal_area_search(pres: Presentation, w: Word, max_area: int,
             if l.inverse() * w in right:
                 return target
     return None
+
+
+# PermGroup._closure as it was before closure by coset extension
+def bfs_closure(group: PermGroup, elems) -> PermGroup:
+    """The subgroup generated by elems, enumerated again from the identity
+    for every generator kept; its generators are the elements of elems that
+    the earlier ones do not generate."""
+    closed = PermGroup(group.degree, [], guard=group.guard)
+    closed.elements()
+    for e in elems:
+        if e not in closed:
+            closed = PermGroup(group.degree, closed.generators + [e], guard=group.guard)
+            closed.elements()
+    return closed
+
+
+# sidki.build's L and D as they were before pointwise stabilizers
+def fixing(group: PermGroup, points) -> list[Perm]:
+    """The elements of the group, enumerated in full, that fix every point."""
+    elements = PermGroup(group.degree, group.generators, guard=group.guard).elements()
+    return [p for p in elements if all(p.img[q] == q for q in points)]
+
+
+# sidki._w_members as it was before it traced along the breadth-first tree
+def rho_word_w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
+    """pi(w)^-1 w for every coset word w of the split copy whose rho_word
+    coordinates trace to (pi w, pi w, 1) in the regular base table."""
+    members: list[Word] = []
+    for w in table.coset_words():
+        first, second, third = (base_table.trace_word(0, u) for u in rho_word(w))
+        if first == second and third == 0:
+            members.append(pi_word(w).inverse() * w)
+    return members

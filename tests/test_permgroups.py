@@ -12,8 +12,8 @@ from weakcomm.permgroups import (GroupHom, Perm, PermGroup, abelian_invariants,
                                  _chain_order)
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 
-from .oracles import (closure, pcompose, pinverse, quaternion_group,
-                      s3_generators)
+from .oracles import (bfs_closure, closure, pcompose, pinverse,
+                      quaternion_group, s3_generators)
 
 
 def element_matrix(group):
@@ -137,6 +137,52 @@ def test_subgroups_come_back_closed(monkeypatch):
     # enumeration from the chosen generators
     assert enumerated == [list(PermGroup(g.degree, g.generators).elements().items())
                           for g in groups]
+
+
+RANDOM_ELEMENTS = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOM_ELEMENTS)
+def test_span_matches_the_bfs_closure(elems):
+    perms = [Perm(e) for e in elems]
+    degree = len(elems[0])
+    gens, members = PermGroup(degree, [])._span(perms)
+    reference = bfs_closure(PermGroup(degree, []), perms)
+    assert gens == reference.generators
+    assert members == set(reference.elements())
+    assert {p.img for p in members} == closure(elems)
+    order = len(members)
+    assert PermGroup(degree, [], guard=order)._span(perms)[1] == members
+    if order > 1:
+        with pytest.raises(SizeGuardError):
+            PermGroup(degree, [], guard=order - 1)._span(perms)
+        with pytest.raises(SizeGuardError):
+            bfs_closure(PermGroup(degree, [], guard=order - 1), perms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_ELEMENTS, st.data())
+def test_normal_closure_is_the_span_of_all_conjugates(elems, data):
+    group = PermGroup(len(elems[0]), [Perm(e) for e in elems])
+    sub = [Perm(data.draw(st.sampled_from(sorted(closure(elems))))) for _ in range(2)]
+    conjugates = [pcompose(pcompose(pinverse(g), s.img), g)
+                  for s in sub for g in closure(elems)]
+    assert set(p.img for p in group.normal_closure(sub).elements()) == closure(conjugates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOM_ELEMENTS, st.data())
+def test_pointwise_stabilizer_matches_the_filter(elems, data):
+    degree = len(elems[0])
+    points = data.draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=3))
+    group = PermGroup(degree, [Perm(e) for e in elems])
+    stabilizer = group.pointwise_stabilizer(points)
+    assert group._elements is None
+    assert {p.img for p in stabilizer} == \
+        {p for p in closure(elems) if all(p[q] == q for q in points)}
+    assert group.order() == len(closure(elems))   # by orbit-stabilizer
 
 
 def test_engel_checks():

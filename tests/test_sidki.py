@@ -2,10 +2,11 @@ from random import Random
 
 import pytest
 
-from weakcomm import enumerator, sidki
-from weakcomm.errors import ArgumentError
+from weakcomm import enumerator, permgroups, sidki
+from weakcomm.errors import ArgumentError, CheckFailure
 from weakcomm.permgroups import GroupHom, Perm, PermGroup, block_perm, commutator
-from weakcomm.presentations import parse_presentation
+from weakcomm.presentations import (double_presentation, element_witnesses,
+                                    parse_presentation)
 from weakcomm.words import bar_word
 
 from . import oracles
@@ -15,6 +16,10 @@ EXTRA_TEXT = {
     "D5": "< r, s | r^5, s^2, (r*s)^2 >",
     "C2xC4": "< a, b | a^2, b^4, [a, b] >",
     "A4": "< a, b | a^2, b^3, (a*b)^3 >",
+}
+LARGER_TEXT = {
+    "D8": "< r, s | r^8, s^2, (r*s)^2 >",
+    "S4": "< a, b | a^2, b^3, (a*b)^4 >",
 }
 
 
@@ -69,6 +74,52 @@ def test_kernels_match_the_hom_kernels(realizations, name):
     members = [x.element(m) for m in sidki._w_members(table, base_table)]
     assert len(set(members)) == len(members)
     assert set(members) == set(x.rho.kernel().elements()) == set(x.W.elements())
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT) + list(LARGER_TEXT))
+def test_stabilizers_match_the_fixing_filter(realizations, name):
+    """L and D, taken as pointwise stabilizers of rho-block points, against
+    the filter over all of X that they replaced: the same generators, and
+    the same elements in the same order with the same words."""
+    x = realizations.get(name) or sidki.build(
+        parse_presentation({**EXTRA_TEXT, **LARGER_TEXT}[name]))
+    index = x.X.degree - 3 * x.G.degree
+    for group, coords in ((x.L, (1,)), (x.D, (0, 2))):
+        fixed = oracles.fixing(x.X, [index + k * x.G.degree for k in coords])
+        reference = oracles.bfs_closure(x.X, sorted(
+            (p for p in fixed if not p.is_identity()), key=lambda p: p.img))
+        assert group.generators == reference.generators
+        assert list(group.elements().items()) == list(reference.elements().items())
+
+
+def test_build_leaves_the_double_unenumerated():
+    x = sidki.build(parse_presentation(LARGER_TEXT["D8"]))
+    assert x.X._elements is None
+    assert x.X.order() == 2048 and x.DL._elements is None
+
+
+def test_an_orbit_one_point_short_fails_the_faithfulness_guard(monkeypatch):
+    real = permgroups._schreier_generators
+
+    def short(*args):
+        transversal, schreier = real(*args)
+        transversal.popitem()
+        return transversal, schreier
+
+    monkeypatch.setattr(permgroups, "_schreier_generators", short)
+    with pytest.raises(CheckFailure) as info:
+        sidki.build(parse_presentation(SUITE_TEXT["S3"]))
+    assert info.value.name == "faithful_realization"
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + ["A5"])
+def test_w_members_match_the_rho_word_reference(suite, name):
+    pres = suite.get(name) or parse_presentation("< a, b | a^2, b^3, (a*b)^5 >")
+    base_table = enumerator.enumerate_cosets(pres, [])
+    double = double_presentation(pres, element_witnesses(base_table))
+    table = sidki._split_copy_cosets(pres, double, 10 ** 6)
+    assert sidki._w_members(table, base_table) == \
+        oracles.rho_word_w_members(table, base_table)
 
 
 def test_c2xc2_recorded_values(realizations):
