@@ -11,15 +11,19 @@ are processed with a path-compressed union-find.
 
 The table is stored column-major, one list per column: column 2i is
 generator i, column 2i+1 its inverse, and -1 marks an undefined entry.
-Publishing compacts it (cosets renumbered in discovery order, dead rows
-dropped), checks that it is closed and hands the columns to ``CosetTable``
-as they are, so output is deterministic for a fixed strategy and input
-order.
+Compaction (cosets renumbered in discovery order, dead rows dropped)
+rewrites the column lists and the union-find list in place, so each
+relator, and each Felsch rotation, is bound once to the column lists it
+reads forward and backward, and the inlined scans index those.  Publishing
+compacts, checks that the table is closed and hands the columns to
+``CosetTable`` as they are, so output is deterministic for a fixed strategy
+and input order.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -142,12 +146,22 @@ class _Enumeration:
         self.subgens = [_columns(pres, w) for w in subgens]
         self.max_cosets = max_cosets
         # column-major: table[x][a] is the image of coset a under column x,
-        # -1 while undefined
+        # -1 while undefined; the column lists are never replaced, so lists
+        # bound to them below stay valid across compactions
         self.table: list[list[int]] = [[-1] for _ in range(self.ncols)]
+        t = self.table
+        self.pairs = [(t[x], t[x ^ 1], x) for x in range(self.ncols)]
         self.p = [0]                     # union-find; one entry per row
         self.n_dead = 0
         self.track_deductions = False    # only Felsch consumes the stack
         self.deductions: deque[tuple[int, int]] = deque()
+
+    def bind(self, words) -> list:
+        """Each word with its forward and backward column lists and its last
+        index, the form the inlined scans read."""
+        t = self.table
+        return [(w, [t[x] for x in w], [t[x ^ 1] for x in w], len(w) - 1)
+                for w in words]
 
     # union-find ---------------------------------------------------------
 
@@ -181,7 +195,7 @@ class _Enumeration:
     # table primitives ------------------------------------------------------
 
     def define(self, a: int, x: int) -> int:
-        if self.n_live() >= self.max_cosets:
+        if len(self.p) - self.n_dead >= self.max_cosets:
             raise EnumerationOverflow(self.max_cosets)
         b = len(self.p)
         for col in self.table:
@@ -208,21 +222,26 @@ class _Enumeration:
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
-        t = self.table
+        p, merge = self.p, self.merge
         queue: deque[int] = deque()
-        self.merge(a, b, queue)
+        merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            for x in range(self.ncols):
-                d = t[x][dead]
+            for col, inv, x in self.pairs:
+                d = col[dead]
                 if d < 0:
                     continue
-                t[x ^ 1][d] = -1
-                mu, nu = self.find(dead), self.find(d)
-                if t[x][mu] >= 0:
-                    self.merge(nu, t[x][mu], queue)
-                elif t[x ^ 1][nu] >= 0:
-                    self.merge(mu, t[x ^ 1][nu], queue)
+                inv[d] = -1
+                mu = dead
+                while p[mu] != mu:
+                    mu = p[mu]
+                nu = d
+                while p[nu] != nu:
+                    nu = p[nu]
+                if (e := col[mu]) >= 0:
+                    merge(nu, e, queue)
+                elif (e := inv[nu]) >= 0:
+                    merge(mu, e, queue)
                 else:
                     self.set_entry(mu, x, nu)
 
@@ -259,21 +278,44 @@ class _Enumeration:
     def run_hlt(self) -> None:
         for w in self.subgens:
             self.scan(0, w, fill=True)
+        p, define = self.p, self.define
+        relators = self.bind(self.relators)
         a = 0
         lookaheads_left = 3
-        while a < len(self.p):
-            if not self.alive(a):
+        while a < len(p):
+            if p[a] != a:
                 a += 1
                 continue
             try:
-                for r in self.relators:
-                    self.scan(a, r, fill=True)
-                    if not self.alive(a):
+                # scan(a, word, fill=True) inlined over the bound relators
+                for word, fwd, bwd, j in relators:
+                    f, i, b = a, 0, a
+                    while True:
+                        while i <= j and (c := fwd[i][f]) >= 0:
+                            f = c
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                self.coincidence(f, b)
+                            break
+                        while j >= i and (c := bwd[j][b]) >= 0:
+                            b = c
+                            j -= 1
+                        if j < i:
+                            self.coincidence(f, b)
+                            break
+                        if j == i:
+                            fwd[i][f] = b
+                            bwd[i][b] = f
+                            break
+                        f = define(f, word[i])
+                        i += 1
+                    if p[a] != a:
                         break
-                if self.alive(a):
-                    for x in range(self.ncols):
-                        if self.table[x][a] < 0:
-                            self.define(a, x)
+                else:
+                    for x, col in enumerate(self.table):
+                        if col[a] < 0:
+                            define(a, x)
             except EnumerationOverflow:
                 # lookahead: hunt for coincidences without defining cosets
                 if lookaheads_left == 0:
@@ -286,7 +328,7 @@ class _Enumeration:
                 a = self.compact(0)
                 continue
             a += 1
-            if self.n_dead > COMPACT_THRESHOLD and self.n_dead > len(self.p) // 2:
+            if self.n_dead > COMPACT_THRESHOLD and self.n_dead > len(p) // 2:
                 a = self.compact(a)
 
     def lookahead(self) -> None:
@@ -300,15 +342,25 @@ class _Enumeration:
 
     def compact(self, pointer: int) -> int:
         """Renumber live cosets in order, dropping dead rows and pointing
-        every entry at its live coset; returns the new pointer."""
-        live = [a for a in range(len(self.p)) if self.alive(a)]
-        index = dict(zip(live, range(len(live))))
-        # the trailing -1 is what index -1, an undefined entry, maps to
-        renumber = [index[self.find(b)] for b in range(len(self.p))] + [-1]
-        self.table = [[renumber[col[a]] for a in live] for col in self.table]
-        self.p = list(range(len(live)))
+        every entry at its live coset; returns the new pointer.  The columns
+        and the union-find list are rewritten in place."""
+        p = self.p
+        # a dead row's parent is a smaller row, so its root is renumbered
+        # before it; the trailing -1 is what an undefined entry maps to
+        renumber: list[int] = []
+        live: list[int] = []
+        for a, parent in enumerate(p):
+            if parent == a:
+                renumber.append(len(live))
+                live.append(a)
+            else:
+                renumber.append(renumber[parent])
+        renumber.append(-1)
+        for col in self.table:
+            col[:] = [renumber[col[a]] for a in live]
+        p[:] = range(len(live))
         self.n_dead = 0
-        return sum(1 for a in live if a < pointer)
+        return bisect_left(live, pointer)
 
     def run_felsch(self) -> None:
         self.track_deductions = True
@@ -321,6 +373,7 @@ class _Enumeration:
                     if rot not in seen:
                         seen.add(rot)
                         rotations[rot[0]].append(rot)
+        self.bound_rotations = [self.bind(rots) for rots in rotations]
         for w in self.subgens:
             self.scan(0, w, fill=True)
         self._process_deductions(rotations)
@@ -337,31 +390,33 @@ class _Enumeration:
             self._process_deductions(rotations)
 
     def _process_deductions(self, rotations) -> None:
-        # scan(a, word, fill=False) inlined, over the rotations that start
-        # with x only: scanning the cycles through b = a^x again from b, read
-        # backwards, would find nothing new (see the module docstring)
-        p, t, queue = self.p, self.table, self.deductions
+        # scan(a, word, fill=False) inlined, over the bound rotations that
+        # start with x only: scanning the cycles through b = a^x again from
+        # b, read backwards, would find nothing new (see the module docstring)
+        p, queue, bound = self.p, self.deductions, self.bound_rotations
         while queue:
             a, x = queue.popleft()
-            for word in rotations[x]:
+            for word, fwd, bwd, last in bound[x]:
                 if p[a] != a:            # a coincidence killed a
                     a = self.find(a)
                 f, i = a, 0
-                b, j = a, len(word) - 1
-                while i <= j and (c := t[word[i]][f]) >= 0:
+                b, j = a, last
+                while i <= j and (c := fwd[i][f]) >= 0:
                     f = c
                     i += 1
                 if i > j:
                     if f != a:
                         self.coincidence(f, a)
                     continue
-                while j >= i and (c := t[word[j] ^ 1][b]) >= 0:
+                while j >= i and (c := bwd[j][b]) >= 0:
                     b = c
                     j -= 1
                 if j < i:
                     self.coincidence(f, b)
                 elif j == i:
-                    self.set_entry(f, word[i], b)
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    queue.append((f, word[i]))
 
     # publication ---------------------------------------------------------
 

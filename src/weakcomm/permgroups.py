@@ -10,9 +10,11 @@ method): a kept generator y grows the closed set H by its right cosets
 H y, H y s, ..., so each element is made once.  ``subgroup``,
 ``from_elements`` and ``normal_closure`` return their group with its
 elements enumerated by one breadth-first search over the chosen generators,
-which fixes the element order and the words.  A pointwise stabilizer is
-closed from Schreier generators, without enumerating the group, and gives
-the group's order by orbit-stabilizer.
+which fixes the element order and the words; ``normal_span`` is the
+normal closure left unenumerated, for callers that read only its order and
+generators.  A pointwise stabilizer is closed from Schreier generators,
+without enumerating the group, and gives the group's order by
+orbit-stabilizer.
 
 Engel verification is a forall-forall property, so it is exhaustive over
 ordered pairs (never sampled); the inner loop is vectorized with numpy and
@@ -204,10 +206,15 @@ class PermGroup:
         return self.elements()[p]
 
     def random_element(self, rng) -> Perm:
-        acc = Perm.identity(self.degree)
+        """A product of 3 to 19 random generators, composed on image tuples."""
+        identity = tuple(range(self.degree))
+        pool = [g.img for g in self.generators] or [identity]
+        img = identity
         for _ in range(rng.randrange(3, 20)):
-            acc = acc * rng.choice(self.generators or [Perm.identity(self.degree)])
-        return acc
+            g = rng.choice(pool)
+            # below degree 2 every permutation is g; itemgetter needs two indices
+            img = operator.itemgetter(*img)(g) if len(img) > 1 else g
+        return Perm(img)
 
     # -- subgroup machinery --------------------------------------------------
 
@@ -257,6 +264,17 @@ class PermGroup:
             (e for e in elems if not e.is_identity()), key=lambda p: p.img))
 
     def normal_closure(self, gens: Sequence[Perm]) -> "PermGroup":
+        return self.from_elements(self._normal_span(gens)[1])
+
+    def normal_span(self, gens: Sequence[Perm]) -> "PermGroup":
+        """The normal closure, generated by its span's generators and of
+        known order, with no element enumerated: for callers that read only
+        its order and generators."""
+        span_gens, members = self._normal_span(gens)
+        return PermGroup(self.degree, span_gens, guard=self.guard,
+                         known_order=len(members))
+
+    def _normal_span(self, gens: Sequence[Perm]) -> tuple[list[Perm], set[Perm]]:
         # one span, grown by each conjugate of its generators it lacks
         span_gens, members = self._span(gens)
         conjugators = [(g.inverse(), g) for g in self.generators]
@@ -268,7 +286,7 @@ class PermGroup:
                 if t not in members:
                     self._span([t], span_gens, members)
                     work.append(t)
-        return self.from_elements(members)
+        return span_gens, members
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> set[Perm]:
         """The elements fixing every one of the points, without enumerating
@@ -316,7 +334,7 @@ class PermGroup:
         series = [self]
         while True:
             prev = series[-1]
-            nxt = self.normal_closure(
+            nxt = self.normal_span(
                 [commutator(x, g) for x in prev.generators for g in self.generators])
             if nxt.order() == prev.order():
                 break

@@ -145,7 +145,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     im_rho.pointwise_stabilizer([0, gdeg])  # gives its order, not enumerating it
     rho = GroupHom(X, im_rho, rho_images, relators=signed_relators)
 
-    D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
+    D_nc = X.normal_span([commutator(a, b) for a in x_images for b in xbar_images])
 
     W = D_ker.intersection(L_ker)
     # reports read only DL's generators and order, so it keeps no elements
@@ -167,7 +167,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     x.check("L_generated_by_letter_differences",
             len(L_sub) == L_ker.order() and
             all(g in L_ker.elements() for g in L_sub_gens))
-    L_nc = X.normal_closure(list(x.ell_images.values()))
+    L_nc = X.normal_span(list(x.ell_images.values()))
     x.check("L_subgroup_equals_normal_closure", L_nc.order() == len(L_sub))
     x.check("D_normal_closure_equals_kernel",
             D_nc.order() == D_ker.order() and

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from weakcomm import enumerator
 from weakcomm.enumerator import (_Enumeration, enumerate_cosets, perm_realization,
                                  signed_letters)
 from weakcomm.errors import ArgumentError, EnumerationOverflow, WeakcommError
@@ -297,6 +299,44 @@ def test_felsch_matches_the_two_end_felsch(case):
         pres, subgens, max_cosets=DIFFERENTIAL_BUDGET, strategy="hlt"))
     if hlt is not None:   # HLT may need more live cosets than Felsch
         assert json.loads(hlt)["n_cosets"] == json.loads(felsch)["n_cosets"]
+
+
+# -- in-place compaction -----------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_presentations))
+@example((COLLAPSE, []))
+@example((S3, [parse_word("a", S3.generators)]))
+def test_compacting_after_every_row_leaves_the_table_as_it_is(case):
+    pres, subgens = case
+
+    def hlt():
+        return _table_or_overflow(lambda: enumerate_cosets(
+            pres, subgens, max_cosets=DIFFERENTIAL_BUDGET, strategy="hlt"))
+
+    expected = hlt()
+    with mock.patch.object(enumerator, "COMPACT_THRESHOLD", 1):
+        assert hlt() == expected
+
+
+def test_compaction_keeps_the_column_and_union_find_lists(monkeypatch):
+    monkeypatch.setattr(enumerator, "COMPACT_THRESHOLD", 1)
+    enum = _Enumeration(COLLAPSE, [], 200_000)
+    columns, p = list(enum.table), enum.p
+    pointers = []
+    compact = enum.compact
+
+    def recording(pointer):
+        pointers.append(pointer)
+        return compact(pointer)
+
+    enum.compact = recording
+    enum.run_hlt()
+    assert pointers          # compacted mid-run
+    published = enum.publish([])
+    assert all(col is kept for col, kept in zip(enum.table, columns, strict=True))
+    assert enum.p is p and p == list(range(published.n_cosets))
+    assert published.columns == tuple(map(tuple, columns))
 
 
 # -- the closure checks of publish -----------------------------------------------
