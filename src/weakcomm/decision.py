@@ -11,14 +11,17 @@ enumeration with trivial subgroup realizes the group faithfully and decides
 both directions; partial quotients certify non-triviality only.  Verdicts
 are always certified; Unknown carries the spent budgets.
 
-Ball counting deduplicates by oracle normal forms when available and by
-pairwise equality queries otherwise, so its correctness reduces to the
-oracle's.  The growth classifier is a finite-data heuristic and says so.
+Ball counting walks oracle normal forms when the oracle has them: each
+generator becomes a map from the normal form of u to that of u*g, so the
+breadth-first search builds no word per step.  Oracles without normal forms
+deduplicate by pairwise equality queries.  Either way its correctness reduces
+to the oracle's.  The growth classifier is a finite-data heuristic and says so.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,6 +48,11 @@ class WPOracle:
         """Hashable canonical key, or None when unsupported."""
         return None
 
+    def right_multiplier(self, w: Word):
+        """The map normal_form(u) -> normal_form(u * w), for oracles with a
+        normal form."""
+        raise NotImplementedError
+
     def equal(self, u: Word, v: Word) -> bool:
         nu, nv = self.normal_form(u), self.normal_form(v)
         if nu is not None and nv is not None:
@@ -62,6 +70,18 @@ class FreeGroupOracle(WPOracle):
     def normal_form(self, w: Word):
         return tuple((s.name, s.bar, s.sign) for s in w)
 
+    def right_multiplier(self, w: Word):
+        # both keys are reduced: only letters at the junction can cancel
+        b = self.normal_form(w)
+        cancels = tuple((name, bar, -sign) for name, bar, sign in b)
+
+        def times(a: tuple) -> tuple:
+            i, n, k = len(a), min(len(a), len(b)), 0
+            while k < n and a[i - 1 - k] == cancels[k]:
+                k += 1
+            return a[:i - k] + b[k:]
+        return times
+
 
 class FreeAbelianOracle(WPOracle):
     def __init__(self, alphabet: Sequence[GenSymbol]):
@@ -72,6 +92,10 @@ class FreeAbelianOracle(WPOracle):
 
     def normal_form(self, w: Word):
         return tuple(w.exponent_sum(g) for g in self.alphabet)
+
+    def right_multiplier(self, w: Word):
+        shift = self.normal_form(w)
+        return lambda a: tuple(map(operator.add, a, shift))
 
 
 class FiniteRealizationOracle(WPOracle):
@@ -90,6 +114,13 @@ class FiniteRealizationOracle(WPOracle):
             return self.table.word_image_unchecked(w).img
         # the action is regular, so the image of one point is already faithful
         return self.table.trace_word(0, w)
+
+    def right_multiplier(self, w: Word):
+        table = self.table
+        if table.subgroup_words:
+            w_img = table.word_image_unchecked(w).img
+            return lambda a: tuple(map(w_img.__getitem__, a))
+        return [table.trace_word(c, w) for c in range(table.n_cosets)].__getitem__
 
 
 def _is_commutator_of(r: Word, x: GenSymbol, y: GenSymbol) -> bool:
@@ -272,9 +303,10 @@ def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
 def ball_sizes(gens: Sequence[Word], oracle: WPOracle, radius: int) -> list[int]:
     """|B(n)| for n = 0..radius in the word metric of the given generators.
 
-    The generating set is closed under formal inverses.  Deduplication uses
-    oracle normal forms when available and pairwise equality otherwise; an
-    oracle failure surfaces as an exception (growth needs decisions).
+    The generating set is closed under formal inverses.  With oracle normal
+    forms the search runs on them alone, one right multiplier per generator;
+    otherwise it keeps words and deduplicates by pairwise equality.  An oracle
+    failure surfaces as an exception (growth needs decisions).
     """
     if radius < 0:
         raise ArgumentError("radius must be >= 0")
@@ -284,19 +316,19 @@ def ball_sizes(gens: Sequence[Word], oracle: WPOracle, radius: int) -> list[int]
         if g not in seen_letters:
             seen_letters.add(g)
             letters.append(g)
-    use_nf = oracle.normal_form(Word()) is not None
+    start = oracle.normal_form(Word())
     sizes = [1]
-    if use_nf:
-        known = {oracle.normal_form(Word()): Word()}
-        frontier = [Word()]
+    if start is not None:
+        steps = [oracle.right_multiplier(g) for g in letters]
+        known = {start}
+        frontier = [start]
         for _ in range(radius):
             nxt = []
-            for w in frontier:
-                for letter in letters:
-                    v = w * letter
-                    key = oracle.normal_form(v)
-                    if key not in known:
-                        known[key] = v
+            for key in frontier:
+                for step in steps:
+                    v = step(key)
+                    if v not in known:
+                        known.add(v)
                         nxt.append(v)
             frontier = nxt
             sizes.append(len(known))

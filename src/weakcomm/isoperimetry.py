@@ -5,7 +5,8 @@ closure of the relators: a list of (conjugator, relator index, sign) factors
 whose product of conjugates freely reduces to the word.  Its area is the
 number of factors and its radius the longest conjugator.  The checker is the
 authority: every constructor here feeds its output back through
-``check_certificate``.
+``check_certificate``, which multiplies the factors out on words encoded as
+tuples of signed integers and decodes one ``Word`` at the end.
 
 Also here: the quadratic grid filling of [a^n, b^n] over the rank-2 free
 abelian presentation, an exhaustive (meet-in-the-middle) minimal-area
@@ -46,13 +47,34 @@ class AreaCertificate:
         return max((len(t) for t, _, _ in self.factors), default=0)
 
     def product_word(self, pres: Presentation) -> Word:
-        acc = Word()
+        """The product of the factors, multiplied out on signed integers.
+
+        Each generator gets a code on first sight, the relators' generators
+        first, so a conjugator with a letter outside the presentation
+        multiplies out as it would over the free group on all the letters."""
+        codes: dict[tuple[str, bool], int] = {}
+        letters: dict[int, GenSymbol] = {}
+
+        def encode(w: Word) -> tuple[int, ...]:
+            out = []
+            for s in w:
+                c = codes.get((s.name, s.bar))
+                if c is None:
+                    c = codes[(s.name, s.bar)] = len(codes) + 1
+                    g = s if s.sign > 0 else s.inverse()
+                    letters[c], letters[-c] = g, g.inverse()
+                out.append(c * s.sign)
+            return tuple(out)
+
+        relators = [encode(r) for r in pres.relators]
+        acc: tuple[int, ...] = ()
         for theta, idx, sign in self.factors:
-            if not 0 <= idx < len(pres.relators):
+            if not 0 <= idx < len(relators):
                 raise ArgumentError(f"relator index {idx} out of range")
-            r = pres.relators[idx]
-            acc = acc * (r if sign > 0 else r.inverse()).conjugate(theta)
-        return acc
+            r = relators[idx] if sign > 0 else _inv(relators[idx])
+            t = encode(theta)
+            acc = _mul(acc, _mul(_mul(_inv(t), r), t))
+        return Word(letters[c] for c in acc)
 
     def to_json(self) -> str:
         doc = {

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetError, ArgumentError, ParseError
@@ -31,8 +33,8 @@ class GenSymbol:
 
     Symbols compare and hash by (name, bar, sign), so a letter and its
     inverse are different symbols; ``same_generator`` compares (name, bar)
-    alone.  ``format_word`` relies on this to collapse a run of one signed
-    letter into a power.
+    alone.  ``format_word`` collapses a run of one (name, bar, sign) into a
+    power.
     """
 
     name: str
@@ -117,7 +119,11 @@ class Word:
         if n == 0:
             return Word()
         base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n))
+        letters = base.letters
+        if letters and letters[0] != letters[-1].inverse():
+            # cyclically reduced: the copies cannot cancel at their junctions
+            return _reduced_word(letters * abs(n))
+        return Word(letters * abs(n))
 
     def inverse(self) -> "Word":
         # the reverse of a reduced word is reduced
@@ -138,8 +144,9 @@ class Word:
         return Word(letters)
 
     def exponent_sum(self, gen: GenSymbol) -> int:
-        g = gen.generator
-        return sum(sym.sign for sym in self.letters if sym.generator == g)
+        name, bar = gen.name, gen.bar
+        return sum(sym.sign for sym in self.letters
+                   if sym.name == name and sym.bar == bar)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -368,20 +375,16 @@ def parse_word(text: str, alphabet: Sequence[GenSymbol] | None = None) -> Word:
     return w
 
 
+_SIGNED_LETTER = attrgetter("name", "bar", "sign")
+
+
 def format_word(w: Word) -> str:
     """Canonical text form: runs collapsed to powers, '*'-separated."""
     if not len(w):
         return "1"
     parts: list[str] = []
-    letters = list(w)
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        run = j - i
-        base = letters[i].name + ("~" if letters[i].bar else "")
-        exp = run * letters[i].sign
+    for (name, bar, sign), run in groupby(w, _SIGNED_LETTER):
+        base = name + "~" if bar else name
+        exp = sign * len(list(run))
         parts.append(base if exp == 1 else f"{base}^{exp}")
-        i = j
     return "*".join(parts)

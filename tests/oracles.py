@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from weakcomm.decision import WPOracle
 from weakcomm.enumerator import CosetTable, _Enumeration
+from weakcomm.errors import ArgumentError
 from weakcomm.intlinalg import FinAbGroup
-from weakcomm.isoperimetry import _abelian_feasible
+from weakcomm.isoperimetry import AreaCertificate, _abelian_feasible
 from weakcomm.permgroups import Perm, PermGroup
 from weakcomm.presentations import Presentation
 from weakcomm.words import Word, pi_word, reduced_words, rho_word
@@ -434,3 +436,64 @@ def rho_word_w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
         if first == second and third == 0:
             members.append(pi_word(w).inverse() * w)
     return members
+
+
+# the normal-form branch of decision.ball_sizes as it was before it walked
+# normal forms alone
+def word_ball_sizes(gens, oracle: WPOracle, radius: int) -> list[int]:
+    """|B(n)| for n = 0..radius: a breadth-first search that keeps one word
+    per element, keyed by the oracle's normal form."""
+    letters: list[Word] = []
+    seen_letters: set[Word] = set()
+    for g in list(gens) + [g.inverse() for g in gens]:
+        if g not in seen_letters:
+            seen_letters.add(g)
+            letters.append(g)
+    sizes = [1]
+    known = {oracle.normal_form(Word()): Word()}
+    frontier = [Word()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for letter in letters:
+                v = w * letter
+                key = oracle.normal_form(v)
+                if key not in known:
+                    known[key] = v
+                    nxt.append(v)
+        frontier = nxt
+        sizes.append(len(known))
+    return sizes
+
+
+# AreaCertificate.product_word as it was before it ran on signed integers
+def word_product(cert: AreaCertificate, pres: Presentation) -> Word:
+    """The product of the certificate's conjugates, one Word per factor."""
+    acc = Word()
+    for theta, idx, sign in cert.factors:
+        if not 0 <= idx < len(pres.relators):
+            raise ArgumentError(f"relator index {idx} out of range")
+        r = pres.relators[idx]
+        acc = acc * (r if sign > 0 else r.inverse()).conjugate(theta)
+    return acc
+
+
+# words.format_word as it was before it grouped runs with itertools.groupby
+def run_format_word(w: Word) -> str:
+    """Canonical text form: runs of equal symbols collapsed to powers,
+    '*'-separated."""
+    if not len(w):
+        return "1"
+    parts: list[str] = []
+    letters = list(w)
+    i = 0
+    while i < len(letters):
+        j = i
+        while j < len(letters) and letters[j] == letters[i]:
+            j += 1
+        run = j - i
+        base = letters[i].name + ("~" if letters[i].bar else "")
+        exp = run * letters[i].sign
+        parts.append(base if exp == 1 else f"{base}^{exp}")
+        i = j
+    return "*".join(parts)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakcomm.decision import (FiniteRealizationOracle, FreeAbelianOracle,
                                FreeGroupOracle, Verdict, WPOracle, WPSetup,
@@ -11,6 +12,8 @@ from weakcomm.errors import ArgumentError, WeakcommError
 from weakcomm.presentations import (AllElements, LengthBound,
                                     parse_presentation, sidki_double)
 from weakcomm.words import GenSymbol, Word, parse_word
+
+from .oracles import word_ball_sizes
 
 
 def make_setup(text):
@@ -202,3 +205,64 @@ def test_growth_classifier_examples():
         growth_classifier([1, 2])
     with pytest.raises(ArgumentError):
         growth_classifier([1, 2, 1, 2])
+
+
+# -- balls on normal forms ---------------------------------------------------------
+
+def _finite_oracle(text, subgroup=()):
+    pres = parse_presentation(text)
+    if subgroup:
+        table = enumerate_cosets(pres, [parse_word(t, pres.generators) for t in subgroup])
+        return FiniteRealizationOracle(pres, table)
+    double = sidki_double(pres, AllElements())
+    return FiniteRealizationOracle(double, enumerate_cosets(double, []))
+
+
+_S3 = "< a, b | a^2, b^2, (a*b)^3 >"
+
+# every oracle with a normal form, each with the generators of its group:
+# a free group with a barred letter, two free-abelian groups, the regular
+# tables of X(C2) and X(S3), and tables over the cosets of a subgroup
+NORMAL_FORM_ORACLES = {
+    "free": FreeGroupOracle([GenSymbol("a"), GenSymbol("b", True)]),
+    "Z^2": oracle_for_presentation(parse_presentation("< a, b | [a, b] >"))[0],
+    "X(Z)": oracle_for_presentation(
+        sidki_double(parse_presentation("< a | >"), LengthBound(1)))[0],
+    "X(C2)": _finite_oracle("< a | a^2 >"),
+    "X(S3)": _finite_oracle(_S3),
+    "S3/<a>": _finite_oracle(_S3, ["a"]),
+    "D4/<s>": _finite_oracle("< r, s | r^4, s^2, (r*s)^2 >", ["s"]),
+}
+
+
+def _oracle_words(oracle):
+    letters = [s for g in oracle.alphabet for s in (g, g.inverse())]
+    return st.lists(st.sampled_from(letters), max_size=10).map(Word)
+
+
+@pytest.mark.parametrize("name", NORMAL_FORM_ORACLES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_right_multiplier_is_right_multiplication(name, data):
+    oracle = NORMAL_FORM_ORACLES[name]
+    u = data.draw(_oracle_words(oracle))
+    w = data.draw(_oracle_words(oracle))
+    assert oracle.right_multiplier(w)(oracle.normal_form(u)) == \
+        oracle.normal_form(u * w)
+
+
+def test_right_multiplier_needs_a_normal_form():
+    with pytest.raises(NotImplementedError):
+        PairwiseOnlyOracle(NORMAL_FORM_ORACLES["Z^2"]).right_multiplier(Word())
+
+
+@pytest.mark.parametrize("oracle, radius", [
+    (FreeGroupOracle([GenSymbol("a"), GenSymbol("b")]), 6),
+    (NORMAL_FORM_ORACLES["Z^2"], 8), (NORMAL_FORM_ORACLES["X(Z)"], 8),
+    (NORMAL_FORM_ORACLES["X(S3)"], 8)], ids=["F2", "Z^2", "X(Z)", "X(S3)"])
+def test_ball_sizes_match_the_word_walk(oracle, radius):
+    gens = [Word([g]) for g in oracle.alphabet]
+    assert ball_sizes(gens, oracle, radius) == word_ball_sizes(gens, oracle, radius)
+    # longer generators and generators given with their inverses
+    mixed = [gens[0] * gens[-1], gens[0].inverse()]
+    assert ball_sizes(mixed, oracle, 4) == word_ball_sizes(mixed, oracle, 4)

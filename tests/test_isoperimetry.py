@@ -20,7 +20,7 @@ from weakcomm.isoperimetry import (AreaCertificate, CN_ALPHABET,
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 from weakcomm.words import GenSymbol, Word, commutator, format_word, parse_word
 
-from .oracles import word_minimal_area_search
+from .oracles import word_minimal_area_search, word_product
 
 A, B = (Word([g]) for g in GRID_PRESENTATION.generators)
 S3 = parse_presentation("< a, b | a^2, b^2, (a*b)^3 >")
@@ -353,3 +353,21 @@ def test_distortion_bracket():
     cand = c_n_candidate_l_word(3)
     assert rep["candidate_upper_length"] == len(cand) or \
         rep["candidate_upper_length"] >= len(cand)   # reduced length can shrink
+
+
+# letters of X(C2), plus one the presentation does not have
+_CERT_LETTERS = [GenSymbol(n, bar, s) for n, bar in (("a", False), ("a", True), ("c", False))
+                 for s in (1, -1)]
+
+
+@given(st.lists(st.tuples(st.lists(st.sampled_from(_CERT_LETTERS), max_size=6).map(Word),
+                          st.sampled_from(range(len(X_C2.relators))),
+                          st.sampled_from([1, -1])), max_size=6),
+       st.lists(st.sampled_from(_CERT_LETTERS), max_size=4).map(Word))
+@settings(max_examples=200, deadline=None)
+def test_product_word_matches_the_word_product(factors, word):
+    cert = AreaCertificate(word, tuple(factors))
+    product = cert.product_word(X_C2)
+    assert product == word_product(cert, X_C2)
+    assert check_certificate(X_C2, cert) == (product == word)
+    assert check_certificate(X_C2, AreaCertificate(product, cert.factors))

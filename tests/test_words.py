@@ -8,6 +8,8 @@ from weakcomm.words import (GenSymbol, Word, bar_word, commutator, engel_word,
                             parse_word, pi_word, pibar_word, reduced_words,
                             rho_word)
 
+from .oracles import run_format_word
+
 A, B = GenSymbol("a"), GenSymbol("b")
 ABAR = GenSymbol("a", bar=True)
 ALPHABET = (A, B, ABAR, GenSymbol("b", bar=True))
@@ -199,3 +201,17 @@ def test_inverse_is_the_reduced_reversal(u):
 def test_power_is_the_reduced_repetition(u, n):
     base = u.letters if n >= 0 else _reduced_inverse(u.letters)
     assert (u ** n).letters == words_module._reduce(base * abs(n))
+
+
+@given(words)
+def test_format_word_matches_the_run_scan(w):
+    assert format_word(w) == run_format_word(w)
+
+
+@given(words)
+def test_exponent_sum_counts_signed_letters(w):
+    for g in ALPHABET:
+        # the comparison of whole generator symbols it replaced
+        assert w.exponent_sum(g) == \
+            sum(s.sign for s in w if s.generator == g.generator)
+        assert w.exponent_sum(g.inverse()) == w.exponent_sum(g)
