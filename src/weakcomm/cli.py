@@ -208,7 +208,7 @@ def _cmd_modules(args, config: RunConfig) -> int:
     pres = _load_presentation(args)
     x = sidki.build(pres, max_cosets=config.max_cosets, guard=config.guard)
     consistency = zqmodules.ell_module_consistency(x, guard=config.guard)
-    v = zqmodules.aug_mod_I2(x.G, guard=config.guard)
+    v = x.aug_module(config.guard)
     nil = zqmodules.nil_equation_checks(v)
     wreport = zqmodules.w_structure_checks(x, guard=config.guard)
     ok = consistency["matched_generator_agreement"] and \

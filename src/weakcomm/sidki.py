@@ -53,6 +53,8 @@ class XRealization:
     pi: GroupHom
     Q: FinAbGroup
     checks: list[dict] = field(default_factory=list)
+    _aug: zqmodules.QModule | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def check(self, name: str, ok: bool, witness=None) -> None:
         self.checks.append({"name": name, "pass": bool(ok),
@@ -62,6 +64,15 @@ class XRealization:
         """The element of X named by a word over the double's alphabet."""
         return evaluate(self.X.generators, signed_letters(self.double, w),
                         self.X.degree)
+
+    def aug_module(self, guard: int | None = None) -> zqmodules.QModule:
+        """``zqmodules.aug_mod_I2(G, guard)``, built on the first call and kept;
+        each later call checks the guard on G's elements as that one would."""
+        if self._aug is None:
+            self._aug = zqmodules.aug_mod_I2(self.G, guard=guard)
+        else:
+            self.G.elements(guard)
+        return self._aug
 
     def failed_checks(self) -> list[dict]:
         return [c for c in self.checks if not c["pass"]]
@@ -342,7 +353,7 @@ def engel_certificate(x: XRealization, guard: int | None = None,
     d = metab.nilpotency_class()
     if d is None:
         raise CheckFailure("metabelianization_nilpotent", "G/G'' not nilpotent")
-    v = zqmodules.aug_mod_I2(G)
+    v = x.aug_module()
     v_order = v.structure().order()
     s = v.action_nilpotency_class(cap=(v_order or 0) + 3)
     if s is None:

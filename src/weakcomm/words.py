@@ -14,6 +14,10 @@ projections ``pi`` / ``pibar``, and the three-coordinate embedding map
 
 The token ``l_<name>`` in text input is derived notation for the letter
 difference ``<name>^-1 * <name>~`` and is expanded eagerly at parse time.
+``parse_word`` lexes its text once and reads the tokens in one loop: a
+declared letter is the alphabet's own symbol, so parsing builds no symbol
+per letter, and each factor joins the word parsed so far with cancellation
+at the junction only.
 """
 
 from __future__ import annotations
@@ -258,38 +262,48 @@ def rho_word(w: Word) -> tuple[Word, Word, Word]:
 # factor   := atom ('^' integer)?
 # atom     := NAME '~'? | '[' word (',' word)+ ']' | '(' word ')' | '1'
 #
-# Commutator brackets with more than two entries are left-normed.
+# Commutator brackets with more than two entries are left-normed.  The text
+# is lexed once, one _TOKEN_RE match per token; a tail that does not lex
+# becomes an error token, raised only when the grammar reaches it, so errors
+# come in the order of a left-to-right reading.  parse_word reads the tokens
+# in one loop with a stack of open brackets, takes declared letters from the
+# alphabet, repeats a single letter for its power, and joins each factor
+# (reduced) onto the letters so far (reduced) with cancellation at the
+# junction only; one Word is built at the end.  Bracketed factors are rare,
+# and take their commutators and powers from the Word algebra.
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z0-9_]+)|(?P<op>[~^*\[\](),])|(?P<int>-\d+))")
 
 
-class _Tokens:
-    """Lazy tokenizer; ``peek`` matches each position once, ``next`` reuses it."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._peeked = (-1, None, 0)  # (pos, token, end) of the last match
-
-    def peek(self):
-        at, tok, end = self._peeked
-        if at == self.pos:
-            return tok, end
-        if self.pos >= len(self.text):
-            return None, self.pos
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if not m or m.end() == m.start():
-            stripped = self.text[self.pos:].lstrip()
-            if not stripped:
-                return None, len(self.text)
-            raise ParseError(f"unexpected character {stripped[0]!r}", self.pos)
-        self._peeked = (self.pos, m.group().strip(), m.end())
-        return self._peeked[1:]
-
-    def next(self):
-        tok, end = self.peek()
-        self.pos = end
-        return tok
+def _lex(text: str) -> tuple[list, list[int], list[int], ParseError | None]:
+    """The tokens of the text, each matched once: their strings, their kinds
+    (the ``_TOKEN_RE`` group index: 1 name, 2 operator, 3 negative integer),
+    and bounds, where token i spans ``bounds[i]`` (before its leading
+    whitespace) to ``bounds[i + 1]``.  A last token of kind 0 ends the text;
+    if the text ends in something that does not lex, that last token has kind
+    -1 and the error is returned, to be raised when the grammar reaches it."""
+    match = _TOKEN_RE.match
+    toks: list = []
+    kinds: list[int] = []
+    bounds = [0]
+    p, n = 0, len(text)
+    while p < n:
+        m = match(text, p)
+        if m is None:
+            break
+        k = m.lastindex
+        toks.append(m[k])
+        kinds.append(k)
+        p = m.end()
+        bounds.append(p)
+    toks.append(None)
+    bounds.append(n)
+    rest = text[p:].lstrip()
+    if rest:
+        kinds.append(-1)
+        return toks, kinds, bounds, ParseError(f"unexpected character {rest[0]!r}", p)
+    kinds.append(0)
+    return toks, kinds, bounds, None
 
 
 def _expand_symbol(name: str, bar: bool, alphabet: set[tuple[str, bool]] | None,
@@ -303,58 +317,16 @@ def _expand_symbol(name: str, bar: bool, alphabet: set[tuple[str, bool]] | None,
     raise ParseError(f"undeclared generator {name + ('~' if bar else '')!r}", pos)
 
 
-def _parse_atom(toks: _Tokens, alphabet) -> Word:
-    pos = toks.pos
-    tok = toks.next()
-    if tok is None:
-        raise ParseError("unexpected end of word", pos)
-    if tok == "(":
-        w = _parse_word(toks, alphabet, stop={")"})
-        if toks.next() != ")":
-            raise ParseError("expected ')'", toks.pos)
-        return w
-    if tok == "[":
-        parts = [_parse_word(toks, alphabet, stop={",", "]"})]
-        while True:
-            sep = toks.next()
-            if sep == "]":
-                break
-            if sep != ",":
-                raise ParseError("expected ',' or ']'", toks.pos)
-            parts.append(_parse_word(toks, alphabet, stop={",", "]"}))
-        if len(parts) < 2:
-            raise ParseError("commutator needs at least two entries", pos)
-        return left_normed(parts)
-    if tok == "1":
-        return Word()
-    if re.fullmatch(r"[A-Za-z0-9_]+", tok):
-        bar = False
-        nxt, end = toks.peek()
-        if nxt == "~":
-            bar = True
-            toks.pos = end
-        return Word(_expand_symbol(tok, bar, alphabet, pos))
-    raise ParseError(f"unexpected token {tok!r}", pos)
-
-
-def _parse_word(toks: _Tokens, alphabet, stop: set[str]) -> Word:
-    acc = Word()
-    while True:
-        tok, end = toks.peek()
-        if tok is None or tok in stop:
-            return acc
-        if tok == "*":
-            toks.pos = end
-            continue
-        factor = _parse_atom(toks, alphabet)
-        tok, end = toks.peek()
-        if tok == "^":
-            toks.pos = end
-            exp_tok = toks.next()
-            if exp_tok is None or not re.fullmatch(r"-?\d+", exp_tok):
-                raise ParseError("expected integer exponent after '^'", toks.pos)
-            factor = factor ** int(exp_tok)
-        acc = acc * factor
+def _join(acc: list[GenSymbol], factor: Sequence[GenSymbol]) -> None:
+    """acc := acc * factor; both are reduced, so only the junction cancels."""
+    k, n = 0, len(factor)
+    while acc and k < n:
+        x, y = acc[-1], factor[k]
+        if x.sign == y.sign or x.name != y.name or x.bar != y.bar:
+            break
+        acc.pop()
+        k += 1
+    acc.extend(factor[k:] if k else factor)
 
 
 def parse_word(text: str, alphabet: Sequence[GenSymbol] | None = None) -> Word:
@@ -364,15 +336,85 @@ def parse_word(text: str, alphabet: Sequence[GenSymbol] | None = None) -> Word:
     undeclared names are an error and ``l_<name>`` expands to the letter
     difference.  Without it any alphanumeric name is accepted literally.
     """
-    alpha = None
-    if alphabet is not None:
-        alpha = {(s.name, s.bar) for s in alphabet}
-    toks = _Tokens(text)
-    w = _parse_word(toks, alpha, stop=set())
-    tok, _ = toks.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", toks.pos)
-    return w
+    toks, kinds, bounds, lex_error = _lex(text)
+    # the letters of each name, by bar flag: the alphabet's own symbols, and
+    # what _expand_symbol gives for other names, the first time each is read
+    spelled: tuple[dict[str, list[GenSymbol]], dict[str, list[GenSymbol]]] = ({}, {})
+    for s in alphabet or ():
+        spelled[s.bar][s.name] = [s if s.sign == 1 else s.generator]
+    acc: list[GenSymbol] = []
+    # one frame per open bracket: (opener, its position, the word outside it,
+    # the finished entries of a commutator)
+    stack: list[tuple[str, int, list[GenSymbol], list[list[GenSymbol]]]] = []
+    i = 0
+    while True:
+        tok, kind = toks[i], kinds[i]
+        if kind == 1 and tok != "1":
+            at = i
+            i += 1
+            bar = toks[i] == "~"
+            if bar:
+                i += 1
+            elif kinds[i] < 0:
+                raise lex_error
+            factor = spelled[bar].get(tok)
+            if factor is None:
+                declared = None if alphabet is None else {(s.name, s.bar) for s in alphabet}
+                factor = spelled[bar][tok] = _expand_symbol(tok, bar, declared, bounds[at])
+        elif tok == "*":
+            i += 1
+            continue
+        elif tok == "1":
+            factor = []
+            i += 1
+        elif tok == "(" or tok == "[":
+            stack.append((tok, bounds[i], acc, []))
+            acc = []
+            i += 1
+            continue
+        elif kind <= 0:
+            if kind < 0:
+                raise lex_error
+            if not stack:
+                return _reduced_word(tuple(acc))
+            if stack[-1][0] == "(":
+                raise ParseError("expected ')'", bounds[i + 1])
+            raise ParseError("expected ',' or ']'", bounds[i + 1])
+        elif tok == ")" and stack and stack[-1][0] == "(":
+            factor = acc
+            acc = stack.pop()[2]
+            i += 1
+        elif (tok == "]" or tok == ",") and stack and stack[-1][0] == "[":
+            parts = stack[-1][3]
+            parts.append(acc)
+            i += 1
+            if tok == ",":
+                acc = []
+                continue
+            _, at, acc, _ = stack.pop()
+            if len(parts) < 2:
+                raise ParseError("commutator needs at least two entries", at)
+            factor = left_normed([_reduced_word(tuple(p)) for p in parts]).letters
+        else:
+            raise ParseError(f"unexpected token {tok!r}", bounds[i])
+        if toks[i] == "^":
+            i += 1
+            exp, kind = toks[i], kinds[i]
+            if kind < 0:
+                raise lex_error
+            if not (kind == 3 or kind == 1 and exp.isdigit()):
+                raise ParseError("expected integer exponent after '^'", bounds[i + 1])
+            i += 1
+            n = int(exp)
+            if len(factor) == 1:
+                # a power of one letter is a repeat of it or of its inverse
+                factor = [factor[0]] * n if n >= 0 else [factor[0].inverse()] * -n
+            else:
+                factor = (_reduced_word(tuple(factor)) ** n).letters
+        if acc:
+            _join(acc, factor)
+        else:
+            acc = list(factor)
 
 
 _SIGNED_LETTER = attrgetter("name", "bar", "sign")

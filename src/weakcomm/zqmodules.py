@@ -379,7 +379,7 @@ def ell_module_consistency(x, guard: int | None = None) -> dict:
     the realization section, and a torsion-counting pass on the abelian
     quotient group itself.
     """
-    v1 = aug_mod_I2(x.G, guard=guard)
+    v1 = x.aug_module(guard)
     section = ell_section_module(x, guard=guard)
     v2 = section.module
     quot, _ = quotient_realization(x.L, x.L.derived_subgroup())
@@ -423,7 +423,7 @@ def w_structure_checks(x, guard: int = 100_000) -> dict:
     M vanishes the action class is forced to be at most 3 + s.
     """
     G = x.G
-    v = aug_mod_I2(G, guard=guard)
+    v = x.aug_module(guard)
     s = v.action_nilpotency_class(cap=(v.structure().order() or 0) + 3)
     if s is None:
         raise WeakcommError("action on L/L' did not nilpotize below |V|+3")

@@ -13,16 +13,18 @@ the replacement against them.
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 from weakcomm.decision import WPOracle
 from weakcomm.enumerator import CosetTable, _Enumeration
-from weakcomm.errors import ArgumentError
+from weakcomm.errors import ArgumentError, ParseError
 from weakcomm.intlinalg import FinAbGroup
 from weakcomm.isoperimetry import AreaCertificate, _abelian_feasible
 from weakcomm.permgroups import Perm, PermGroup
 from weakcomm.presentations import Presentation
-from weakcomm.words import Word, pi_word, reduced_words, rho_word
+from weakcomm.words import (_TOKEN_RE, Word, _expand_symbol, left_normed, pi_word,
+                            reduced_words, rho_word)
 
 
 # -- raw permutation helpers ------------------------------------------------
@@ -497,3 +499,101 @@ def run_format_word(w: Word) -> str:
         parts.append(base if exp == 1 else f"{base}^{exp}")
         i = j
     return "*".join(parts)
+
+
+# words.parse_word as it was before it lexed the text once and parsed it in
+# one loop: a lazy tokenizer under a recursive descent
+class _Tokens:
+    """Lazy tokenizer; ``peek`` matches each position once, ``next`` reuses it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self._peeked = (-1, None, 0)  # (pos, token, end) of the last match
+
+    def peek(self):
+        at, tok, end = self._peeked
+        if at == self.pos:
+            return tok, end
+        if self.pos >= len(self.text):
+            return None, self.pos
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if not m or m.end() == m.start():
+            stripped = self.text[self.pos:].lstrip()
+            if not stripped:
+                return None, len(self.text)
+            raise ParseError(f"unexpected character {stripped[0]!r}", self.pos)
+        self._peeked = (self.pos, m.group().strip(), m.end())
+        return self._peeked[1:]
+
+    def next(self):
+        tok, end = self.peek()
+        self.pos = end
+        return tok
+
+
+def _parse_atom(toks: _Tokens, alphabet) -> Word:
+    pos = toks.pos
+    tok = toks.next()
+    if tok is None:
+        raise ParseError("unexpected end of word", pos)
+    if tok == "(":
+        w = _parse_word(toks, alphabet, stop={")"})
+        if toks.next() != ")":
+            raise ParseError("expected ')'", toks.pos)
+        return w
+    if tok == "[":
+        parts = [_parse_word(toks, alphabet, stop={",", "]"})]
+        while True:
+            sep = toks.next()
+            if sep == "]":
+                break
+            if sep != ",":
+                raise ParseError("expected ',' or ']'", toks.pos)
+            parts.append(_parse_word(toks, alphabet, stop={",", "]"}))
+        if len(parts) < 2:
+            raise ParseError("commutator needs at least two entries", pos)
+        return left_normed(parts)
+    if tok == "1":
+        return Word()
+    if re.fullmatch(r"[A-Za-z0-9_]+", tok):
+        bar = False
+        nxt, end = toks.peek()
+        if nxt == "~":
+            bar = True
+            toks.pos = end
+        return Word(_expand_symbol(tok, bar, alphabet, pos))
+    raise ParseError(f"unexpected token {tok!r}", pos)
+
+
+def _parse_word(toks: _Tokens, alphabet, stop: set[str]) -> Word:
+    acc = Word()
+    while True:
+        tok, end = toks.peek()
+        if tok is None or tok in stop:
+            return acc
+        if tok == "*":
+            toks.pos = end
+            continue
+        factor = _parse_atom(toks, alphabet)
+        tok, end = toks.peek()
+        if tok == "^":
+            toks.pos = end
+            exp_tok = toks.next()
+            if exp_tok is None or not re.fullmatch(r"-?\d+", exp_tok):
+                raise ParseError("expected integer exponent after '^'", toks.pos)
+            factor = factor ** int(exp_tok)
+        acc = acc * factor
+
+
+def lazy_parse_word(text: str, alphabet=None) -> Word:
+    """The word the text names, parsed as ``words.parse_word`` parses it."""
+    alpha = None
+    if alphabet is not None:
+        alpha = {(s.name, s.bar) for s in alphabet}
+    toks = _Tokens(text)
+    w = _parse_word(toks, alpha, stop=set())
+    tok, _ = toks.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", toks.pos)
+    return w

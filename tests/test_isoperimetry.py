@@ -1,4 +1,5 @@
 import functools
+import json
 import operator
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakcomm import isoperimetry
-from weakcomm.errors import ArgumentError
+from weakcomm.cli import main
+from weakcomm.errors import ArgumentError, ParseError
 from weakcomm.isoperimetry import (AreaCertificate, CN_ALPHABET,
                                    ELL_ALPHABET, GRID_PRESENTATION,
                                    c_n_candidate_l_word, c_n_letters,
@@ -57,9 +59,46 @@ def test_grid_certificates(n):
 
 
 def test_certificate_json_round_trip():
-    cert = grid_certificate(2)
-    back = AreaCertificate.from_json(cert.to_json(), GRID_PRESENTATION)
-    assert back == cert
+    for n in range(1, 31):
+        cert = grid_certificate(n)
+        back = AreaCertificate.from_json(cert.to_json(), GRID_PRESENTATION)
+        assert back == cert
+
+
+# a certificate written by hand: its text uses brackets, parentheses, negative
+# exponents and ^0, and the word is the product of the four conjugates
+HAND_CERTIFICATE = {
+    "word": "(b^-2*[a, b]*b^2) * [a, b]^-1 * (a^-2 * [a,b]^-1 * a^2)"
+            " * ((a*b^-1)^-1 * [a, b] * (a*b^-1))",
+    "factors": [
+        {"theta": "(b^-1)^-2", "relator": 0, "sign": 1},
+        {"theta": "(a*b)^0 * [a, b^3]^0", "relator": 0, "sign": -1},
+        {"theta": "a^3 * a^-1", "relator": 0, "sign": -1},
+        {"theta": "[b, a] * [a, b] * a * b^-1", "relator": 0, "sign": 1},
+    ],
+}
+
+
+def test_hand_written_certificate_reads_back():
+    comm = commutator(A, B)
+    thetas = [B ** 2, Word(), A ** 2, A * B.inverse()]
+    signs = [1, -1, -1, 1]
+    product = functools.reduce(operator.mul, ((comm ** e).conjugate(t)
+                                              for t, e in zip(thetas, signs)))
+    cert = AreaCertificate.from_json(json.dumps(HAND_CERTIFICATE), GRID_PRESENTATION)
+    assert cert == AreaCertificate(product, tuple((t, 0, e) for t, e in zip(thetas, signs)))
+    assert check_certificate(GRID_PRESENTATION, cert)
+
+
+def test_certificate_with_an_undeclared_letter(tmp_path, capsys):
+    doc = dict(HAND_CERTIFICATE, factors=HAND_CERTIFICATE["factors"][:-1]
+               + [{"theta": "a * c^2", "relator": 0, "sign": 1}])
+    with pytest.raises(ParseError, match="undeclared generator 'c'"):
+        AreaCertificate.from_json(json.dumps(doc), GRID_PRESENTATION)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["area", "-p", "< a, b | [a,b] >", "--check", str(path)]) == 3
+    assert "undeclared generator" in capsys.readouterr().err
 
 
 def test_minimal_area_trivial_cases():

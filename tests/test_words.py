@@ -1,5 +1,7 @@
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weakcomm import words as words_module
 from weakcomm.errors import AlphabetError, ArgumentError, ParseError
@@ -8,7 +10,7 @@ from weakcomm.words import (GenSymbol, Word, bar_word, commutator, engel_word,
                             parse_word, pi_word, pibar_word, reduced_words,
                             rho_word)
 
-from .oracles import run_format_word
+from .oracles import lazy_parse_word, run_format_word
 
 A, B = GenSymbol("a"), GenSymbol("b")
 ABAR = GenSymbol("a", bar=True)
@@ -160,6 +162,58 @@ def test_parse_matches_each_token_once(monkeypatch):
         * gen("c") ** -3 * (gen("a") * gen("b")) ** 2
     assert parse_word(text) == expected
     assert counting.matches <= 20 + 1   # 20 tokens, plus the end check
+
+
+def test_parse_with_an_alphabet_matches_each_token_once(monkeypatch):
+    pattern, matches = words_module._TOKEN_RE, []
+
+    def counting_match(*args):
+        matches.append(args)
+        return pattern.match(*args)
+
+    monkeypatch.setattr(words_module, "_TOKEN_RE", SimpleNamespace(match=counting_match))
+    text = "b~^7 * a^-12 * l_a * [a, b~]^2"
+    expected = Word([GenSymbol("b", True)]) ** 7 * gen("a") ** -12 * L_A \
+        * commutator(gen("a"), Word([GenSymbol("b", True)])) ** 2
+    assert parse_word(text, ALPHABET) == expected
+    assert len(matches) == 19     # one per token, none at the end
+
+
+def _parsed(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# the token alphabet of the text form, an undeclared name, the derived l_a,
+# and a character that does not lex
+parse_tokens = st.sampled_from(["a", "b", "c", "a~", "l_a", "1", "-2", "3", "~",
+                                "^", "*", "[", "]", "(", ")", ",", " ", "$"])
+exponents = st.sampled_from(["", "^0", "^2", "^3", "^-1", "^-2"])
+letter_texts = st.tuples(st.sampled_from(["a", "b", "c", "a~", "l_a", "1"]),
+                         exponents).map("".join)
+
+
+def _compound(inner):
+    group = st.one_of(inner.map("({})".format),
+                      st.lists(inner, min_size=1, max_size=3).map(", ".join)
+                      .map("[{}]".format))
+    factor = st.one_of(letter_texts, st.tuples(group, exponents).map("".join))
+    return st.lists(factor, min_size=1, max_size=4).map("*".join)
+
+
+# texts that follow the grammar, and texts of tokens in any order
+parse_texts = st.one_of(st.recursive(letter_texts, _compound, max_leaves=12),
+                        st.lists(parse_tokens, max_size=16).map("".join))
+
+
+@settings(max_examples=500)
+@given(parse_texts)
+def test_parse_matches_the_lazy_parser(text):
+    for alphabet in (ALPHABET, None):
+        assert _parsed(parse_word, text, alphabet) == \
+            _parsed(lazy_parse_word, text, alphabet)
 
 
 @given(words)

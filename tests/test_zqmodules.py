@@ -1,7 +1,8 @@
 import pytest
 
+from weakcomm import sidki, zqmodules
 from weakcomm.enumerator import enumerate_cosets, perm_realization
-from weakcomm.errors import ArgumentError
+from weakcomm.errors import ArgumentError, SizeGuardError
 from weakcomm.intlinalg import FinAbGroup, IntMatrix
 from weakcomm.presentations import parse_presentation
 from weakcomm.zqmodules import (QModule, aug_mod_I2, ell_module_consistency,
@@ -110,6 +111,28 @@ def test_w_structure_c2_vacuous(realizations):
     rep = w_structure_checks(realizations["C2"])
     assert rep["W_invariants"] == ()
     assert rep["N_order"] == 1
+
+
+def test_module_reports_share_one_augmentation_module(suite, monkeypatch):
+    built = []
+    real = zqmodules.aug_mod_I2
+
+    def counting(group, guard=None):
+        built.append(guard)
+        return real(group, guard)
+
+    monkeypatch.setattr(zqmodules, "aug_mod_I2", counting)
+    x = sidki.build(suite["C2xC2"])
+    ell_module_consistency(x)
+    w_structure_checks(x)
+    sidki.engel_certificate(x)
+    assert built == [None]
+    assert x.aug_module(4) is x.aug_module()
+    # the guard still applies on every call, as it did when each one built
+    for report in (ell_module_consistency, w_structure_checks):
+        with pytest.raises(SizeGuardError):
+            report(x, guard=3)
+    assert len(built) == 1
 
 
 def test_action_class_monotone_under_quotients(realizations):
