@@ -8,11 +8,10 @@ order alone falls back to a stabilizer chain, so it also works for groups
 well beyond the guard.  Subgroups are closed by coset extension (Dimino's
 method): a kept generator y grows the closed set H by its right cosets
 H y, H y s, ..., so each element is made once.  ``subgroup``,
-``from_elements`` and ``normal_closure`` return their group with its
-elements enumerated by one breadth-first search over the chosen generators,
-which fixes the element order and the words; ``normal_span`` is the
-normal closure left unenumerated, for callers that read only its order and
-generators.  A pointwise stabilizer is closed from Schreier generators,
+``from_elements``, ``normal_closure``, ``intersection`` and ``center``
+return their group with the member set its span made, and never enumerate
+it again; only a group made from generators alone enumerates its elements,
+breadth-first.  A pointwise stabilizer is closed from Schreier generators,
 without enumerating the group, and gives the group's order by
 orbit-stabilizer.
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -156,7 +155,7 @@ class PermGroup:
         self.generators = list(generators)  # order matters: homs map by index
         self.guard = guard
         self._order = known_order
-        self._elements: dict[Perm, tuple[int, ...]] | None = None
+        self._elements: Collection[Perm] | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -164,28 +163,26 @@ class PermGroup:
 
     # -- element enumeration ------------------------------------------------
 
-    def elements(self, guard: int | None = None) -> dict[Perm, tuple[int, ...]]:
-        """All elements, mapped to a defining word (signed 1-based gen indices)."""
+    def elements(self, guard: int | None = None) -> Collection[Perm]:
+        """All elements: the members of a closed subgroup as its span made
+        them, else a breadth-first search over the generators, kept in that
+        order."""
         limit = self.guard if guard is None else guard
         if self._elements is not None:
             if len(self._elements) > limit:
                 raise SizeGuardError(len(self._elements), limit)
             return self._elements
         ident = Perm.identity(self.degree)
-        found: dict[Perm, tuple[int, ...]] = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                wx = found[x]
-                for i, g in enumerate(self.generators):
-                    y = x * g
-                    if y not in found:
-                        if len(found) >= limit:
-                            raise SizeGuardError(f"> {limit}", limit)
-                        found[y] = wx + (i + 1,)
-                        nxt.append(y)
-            frontier = nxt
+        found = {ident: None}       # a dict, to keep the breadth-first order
+        queue = [ident]
+        for x in queue:
+            for g in self.generators:
+                y = x * g
+                if y not in found:
+                    if len(found) >= limit:
+                        raise SizeGuardError(f"> {limit}", limit)
+                    found[y] = None
+                    queue.append(y)
         self._elements = found
         self._order = len(found)
         return found
@@ -201,9 +198,6 @@ class PermGroup:
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements()
-
-    def word_for(self, p: Perm) -> tuple[int, ...]:
-        return self.elements()[p]
 
     def random_element(self, rng) -> Perm:
         """A product of 3 to 19 random generators, composed on image tuples."""
@@ -248,12 +242,14 @@ class PermGroup:
         return gens, members
 
     def _closure(self, elems: Iterable[Perm]) -> "PermGroup":
-        """The subgroup generated by elems, returned with its elements
-        enumerated by one breadth-first search over its generators, a
-        greedy subset of elems (see ``_span``)."""
-        gens, _ = self._span(elems)
-        group = PermGroup(self.degree, gens, guard=self.guard)
-        group.elements()
+        """The subgroup generated by elems, on a greedy subset of elems
+        (see ``_span``), returned with the member set the span made."""
+        return self._spanned(*self._span(elems))
+
+    def _spanned(self, gens: list[Perm], members: set[Perm]) -> "PermGroup":
+        group = PermGroup(self.degree, gens, guard=self.guard,
+                          known_order=len(members))
+        group._elements = members
         return group
 
     def subgroup(self, gens: Sequence[Perm]) -> "PermGroup":
@@ -264,18 +260,8 @@ class PermGroup:
             (e for e in elems if not e.is_identity()), key=lambda p: p.img))
 
     def normal_closure(self, gens: Sequence[Perm]) -> "PermGroup":
-        return self.from_elements(self._normal_span(gens)[1])
-
-    def normal_span(self, gens: Sequence[Perm]) -> "PermGroup":
-        """The normal closure, generated by its span's generators and of
-        known order, with no element enumerated: for callers that read only
-        its order and generators."""
-        span_gens, members = self._normal_span(gens)
-        return PermGroup(self.degree, span_gens, guard=self.guard,
-                         known_order=len(members))
-
-    def _normal_span(self, gens: Sequence[Perm]) -> tuple[list[Perm], set[Perm]]:
-        # one span, grown by each conjugate of its generators it lacks
+        """One span, grown by each conjugate of its generators that it
+        lacks, returned with its generators and members."""
         span_gens, members = self._span(gens)
         conjugators = [(g.inverse(), g) for g in self.generators]
         work = list(span_gens)
@@ -286,7 +272,7 @@ class PermGroup:
                 if t not in members:
                     self._span([t], span_gens, members)
                     work.append(t)
-        return span_gens, members
+        return self._spanned(span_gens, members)
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> set[Perm]:
         """The elements fixing every one of the points, without enumerating
@@ -308,9 +294,8 @@ class PermGroup:
     def intersection(self, other: "PermGroup") -> "PermGroup":
         if other.degree != self.degree:
             raise ArgumentError("intersection needs subgroups of a common parent")
-        mine = set(self.elements())
-        theirs = set(other.elements())
-        return self.from_elements(mine & theirs)
+        theirs = other.elements()
+        return self.from_elements(p for p in self.elements() if p in theirs)
 
     def center(self) -> "PermGroup":
         cent = [x for x in self.elements()
@@ -334,7 +319,7 @@ class PermGroup:
         series = [self]
         while True:
             prev = series[-1]
-            nxt = self.normal_span(
+            nxt = self.normal_closure(
                 [commutator(x, g) for x in prev.generators for g in self.generators])
             if nxt.order() == prev.order():
                 break
@@ -522,15 +507,17 @@ class GroupHom:
                 if not evaluate(self.images, r, target.degree).is_identity():
                     raise ArgumentError(f"relator {r} does not map to the identity")
 
-    def image_of(self, p: Perm) -> Perm:
-        return evaluate(self.images, self.source.word_for(p), self.target.degree)
-
-    def image(self) -> PermGroup:
-        return PermGroup(self.target.degree, self.images, guard=self.target.guard)
-
     def kernel(self) -> PermGroup:
-        elems = [p for p in self.source.elements() if self.image_of(p).is_identity()]
-        return self.source.from_elements(elems)
+        """The source block of each element of the graph group
+        <block_perm([g, image of g])> whose target block is the identity."""
+        n = self.source.degree
+        graph = PermGroup(n + self.target.degree,
+                          [block_perm([g, h])
+                           for g, h in zip(self.source.generators, self.images)],
+                          guard=self.source.guard)
+        fixed = tuple(range(n, graph.degree))
+        return self.source.from_elements(
+            Perm(p.img[:n]) for p in graph.elements() if p.img[n:] == fixed)
 
 
 def quotient_realization(group: PermGroup, normal: PermGroup

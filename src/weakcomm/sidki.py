@@ -11,11 +11,15 @@ map rho: g -> (g, g, 1), barg -> (1, g, g), extracts the structural subgroups
 and machine-checks every structural identity the construction promises.  pi
 is rho's second coordinate and pi x pibar its first and third, and G acts
 regularly on each rho block, so L and D are the stabilizers of one point per
-block, taken from Schreier generators; X itself is enumerated only by an
-element-wise check, the Engel scan.  W has one more routine,
-``_w_members``, shared with ``perfect_base_report``: it reads the members
-of ker rho off the coset words.  A failing check aborts with a witness: it
-would indicate an implementation bug, not a mathematical surprise.
+block, taken from Schreier generators; DL is generated by the generators
+of D and L and has order |D| |L| / |W| because D is normal, so it is never
+spanned; X itself is enumerated only by an element-wise check, the Engel
+scan.  pi and rho are not kept: ``build`` checks that the double's relators
+map to the identity under both, and reads their kernels off the blocks.
+W has one more routine, ``_w_members``, shared with ``perfect_base_report``:
+it reads the members of ker rho off the coset words.  A failing check aborts
+with a witness: it would indicate an implementation bug, not a mathematical
+surprise.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ class XRealization:
     W: PermGroup
     DL: PermGroup
     im_rho: PermGroup
-    rho: GroupHom
-    pi: GroupHom
     Q: FinAbGroup
     checks: list[dict] = field(default_factory=list)
     _aug: zqmodules.QModule | None = field(default=None, init=False, repr=False,
@@ -106,14 +108,15 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     X is generated by the coset action on the split copy times rho, which is
     faithful because the split copy meets the kernel of rho trivially; its
-    degree is [X : split copy] + 3 |G|.  L and D are the pointwise
+    degree is [X : split copy] + 3 |G|.  SizeGuardError, before any span,
+    when [X : split copy] |G| passes the guard.  L and D are the pointwise
     stabilizers of the first point of rho block 1, and of blocks 0 and 2,
     closed from Schreier generators without enumerating X; |X| is the length
-    of the block-1 orbit times |L| (orbit-stabilizer).  CheckFailure when
-    that is not [X : split copy] |G|, SizeGuardError when it passes the
-    guard.  W is checked against ``_w_members``, and the centrality and
-    image checks run on generators.  SizeGuardError, before any
-    enumeration, when the base has positive free rank.
+    of the block-1 orbit times |L| (orbit-stabilizer), and CheckFailure when
+    that is not [X : split copy] |G|.  DL takes the generators of D and L
+    and the order |D| |L| / |W|.  W is checked against ``_w_members``, and
+    the centrality and image checks run on generators.  SizeGuardError,
+    before any enumeration, when the base has positive free rank.
     """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
@@ -129,6 +132,8 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     index = table.n_cosets
     rho_images = _rho_images(G)
     gdeg = G.degree
+    if index * G.order() > guard:
+        raise SizeGuardError(f"> {guard}", guard)
     X = PermGroup(index + 3 * gdeg,
                   [block_perm([c, r]) for c, r in zip(table.action, rho_images)],
                   guard=guard)
@@ -138,8 +143,6 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     L_members = X.pointwise_stabilizer([index + gdeg])
     if X.order() != index * G.order():
         raise CheckFailure("faithful_realization", (X.order(), index * G.order()))
-    if X.order() > guard:
-        raise SizeGuardError(f"> {guard}", guard)
     L_ker = X.from_elements(L_members)
     D_ker = X.from_elements(X.pointwise_stabilizer([index, index + 2 * gdeg]))
     signed_relators = [signed_letters(double, r) for r in double.relators]
@@ -148,26 +151,26 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     x_images = list(X.generators[:ngens])
     xbar_images = list(X.generators[ngens:])
 
-    # pi: X -> G sending both copies of a generator to the generator
-    pi = GroupHom(X, G, list(G.generators) + list(G.generators),
-                  relators=signed_relators)
-    # rho: X -> G x G x G with g -> (g, g, 1) and barg -> (1, g, g)
+    # pi: X -> G sends both copies of a generator to the generator, and
+    # rho: X -> G x G x G sends g -> (g, g, 1) and barg -> (1, g, g); each is
+    # well defined when the double's relators map to the identity
+    GroupHom(X, G, list(G.generators) + list(G.generators), relators=signed_relators)
     im_rho = PermGroup(3 * gdeg, rho_images, guard=max(guard, G.order() ** 3 + 1))
     im_rho.pointwise_stabilizer([0, gdeg])  # gives its order, not enumerating it
-    rho = GroupHom(X, im_rho, rho_images, relators=signed_relators)
+    GroupHom(X, im_rho, rho_images, relators=signed_relators)
 
-    D_nc = X.normal_span([commutator(a, b) for a in x_images for b in xbar_images])
+    D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 
     W = D_ker.intersection(L_ker)
-    # reports read only DL's generators and order, so it keeps no elements
-    DL_gens, DL_members = X._span(list(D_ker.generators) + list(L_ker.generators))
-    DL = PermGroup(X.degree, DL_gens, guard=guard, known_order=len(DL_members))
+    # D is normal and W = D n L, so |DL| = |D| |L| / |W| with no span
+    DL = PermGroup(X.degree, D_ker.generators + L_ker.generators, guard=guard,
+                   known_order=D_ker.order() * L_ker.order() // W.order())
     G_split = X.subgroup(x_images)
 
     x = XRealization(
         presentation=pres, double=double, G=G, X=X, x_images=x_images,
         G_elements=G_elements, G_words=G_words, ell_images={},
-        D=D_ker, L=L_ker, W=W, DL=DL, im_rho=im_rho, rho=rho, pi=pi, Q=Q,
+        D=D_ker, L=L_ker, W=W, DL=DL, im_rho=im_rho, Q=Q,
     )
     # letter differences, indexed by the base-group element
     for g_elem, w in zip(G_elements, G_words):
@@ -178,7 +181,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     x.check("L_generated_by_letter_differences",
             len(L_sub) == L_ker.order() and
             all(g in L_ker.elements() for g in L_sub_gens))
-    L_nc = X.normal_span(list(x.ell_images.values()))
+    L_nc = X.normal_closure(list(x.ell_images.values()))
     x.check("L_subgroup_equals_normal_closure", L_nc.order() == len(L_sub))
     x.check("D_normal_closure_equals_kernel",
             D_nc.order() == D_ker.order() and

@@ -21,7 +21,7 @@ from weakcomm.enumerator import CosetTable, _Enumeration
 from weakcomm.errors import ArgumentError, ParseError
 from weakcomm.intlinalg import FinAbGroup
 from weakcomm.isoperimetry import AreaCertificate, _abelian_feasible
-from weakcomm.permgroups import Perm, PermGroup
+from weakcomm.permgroups import GroupHom, Perm, PermGroup, evaluate
 from weakcomm.presentations import Presentation
 from weakcomm.words import (_TOKEN_RE, Word, _expand_symbol, left_normed, pi_word,
                             reduced_words, rho_word)
@@ -419,6 +419,27 @@ def bfs_closure(group: PermGroup, elems) -> PermGroup:
             closed = PermGroup(group.degree, closed.generators + [e], guard=group.guard)
             closed.elements()
     return closed
+
+
+# GroupHom.kernel as it was before it read the kernel off the graph group
+def word_kernel(hom: GroupHom) -> set[Perm]:
+    """The elements of the source that the hom's generator images, evaluated
+    on a defining word from a breadth-first search over the source
+    generators, send to the identity."""
+    source = hom.source
+    words = {Perm.identity(source.degree): ()}
+    frontier = list(words)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, g in enumerate(source.generators):
+                y = x * g
+                if y not in words:
+                    words[y] = words[x] + (i + 1,)
+                    nxt.append(y)
+        frontier = nxt
+    return {p for p, w in words.items()
+            if evaluate(hom.images, w, hom.target.degree).is_identity()}
 
 
 # sidki.build's L and D as they were before pointwise stabilizers

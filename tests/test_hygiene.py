@@ -1,7 +1,9 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every function, class and method it defines has a caller outside the tests."""
+"""Source hygiene: every name a library module imports is used in it,
+every function, class and method it defines has a caller outside the tests,
+and every name the benchmark tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,23 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_every_allowed_definition_exists():
     defined = {d for path in MODULES for d in definitions(path)}
     assert set(NO_CALLER_NEEDED) <= defined
+
+
+def tracer_targets() -> list[tuple]:
+    """``TARGETS`` of ``perfbench/tracer.py``, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_exists():
+    missing = []
+    for layer, owner_name, attr, _ in tracer_targets():
+        module = importlib.import_module(f"weakcomm.{layer}")
+        owner = getattr(module, owner_name, None) if owner_name else module
+        if owner is None or attr not in vars(owner):
+            missing.append(".".join(p for p in (layer, owner_name, attr) if p))
+    assert missing == []

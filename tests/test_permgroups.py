@@ -13,7 +13,7 @@ from weakcomm.permgroups import (GroupHom, Perm, PermGroup, abelian_invariants,
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 
 from .oracles import (bfs_closure, closure, pcompose, pinverse,
-                      quaternion_group, s3_generators)
+                      quaternion_group, s3_generators, word_kernel)
 
 
 def element_matrix(group):
@@ -129,13 +129,18 @@ def test_subgroups_come_back_closed(monkeypatch):
 
     monkeypatch.setattr(Perm, "__mul__", counting)
     orders = [g.order() for g in groups]
-    enumerated = [list(g.elements().items()) for g in groups]
+    enumerated = [set(g.elements()) for g in groups]
     assert products == 0
     monkeypatch.undo()
     assert orders == [1, 2, 6, 6, 3]
-    # the same elements, in the same order with the same words, as a fresh
-    # enumeration from the chosen generators
-    assert enumerated == [list(PermGroup(g.degree, g.generators).elements().items())
+    # the generators the closure before coset extension chose, and the
+    # elements of a fresh enumeration from them
+    closed = [[], [a], [a, b, a * b],
+              sorted((p for p in s3.elements() if not p.is_identity()),
+                     key=lambda p: p.img)]
+    assert [g.generators for g in groups[:4]] == \
+        [bfs_closure(s3, elems).generators for elems in closed]
+    assert enumerated == [set(PermGroup(g.degree, g.generators).elements())
                           for g in groups]
 
 
@@ -288,7 +293,10 @@ def test_hom_kernel_image_orders():
     s3 = s3_regular()
     sign_images = [Perm([1, 0]), Perm([1, 0])]   # both involutions are odd
     hom = GroupHom(s3, PermGroup(2, sign_images), sign_images)
-    assert hom.kernel().order() * hom.image().order() == s3.order()
+    assert hom.kernel().order() * hom.target.order() == s3.order()   # onto
+    # the kernel off the graph group against the one off defining words
+    assert set(hom.kernel().elements()) == word_kernel(hom)
+    assert hom.kernel().generators == s3.from_elements(word_kernel(hom)).generators
     with pytest.raises(ArgumentError):
         # a -> (01), b -> id violates (a*b)^3 = 1
         GroupHom(s3, PermGroup(2, sign_images), [Perm([1, 0]), Perm([0, 1])],

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from weakcomm import enumerator, permgroups, sidki
-from weakcomm.errors import ArgumentError, CheckFailure
+from weakcomm.errors import ArgumentError, CheckFailure, SizeGuardError
 from weakcomm.permgroups import GroupHom, Perm, PermGroup, block_perm, commutator
 from weakcomm.presentations import (double_presentation, element_witnesses,
                                     parse_presentation)
@@ -59,28 +59,50 @@ def test_image_of_rho_is_the_constraint_subgroup(realizations, name):
     assert {p.img for p in x.im_rho.elements()} == expected
 
 
+def _homs(X, G, double):
+    """pi, pi x pibar and rho on X, each checked on the double's relators."""
+    relators = [enumerator.signed_letters(double, r) for r in double.relators]
+    gens, one = list(G.generators), Perm.identity(G.degree)
+    two = [block_perm([p, one]) for p in gens] + [block_perm([one, p]) for p in gens]
+    rho_images = sidki._rho_images(G)
+    return (GroupHom(X, G, gens + gens, relators=relators),
+            GroupHom(X, PermGroup(2 * G.degree, two), two, relators=relators),
+            GroupHom(X, PermGroup(3 * G.degree, rho_images), rho_images,
+                     relators=relators))
+
+
 @pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
 def test_kernels_match_the_hom_kernels(realizations, name):
-    """L, D and the W members of build against GroupHom.kernel, which
-    evaluates pi, pi x pibar and rho on a word for every element of X."""
+    """L, D and the W members of build against GroupHom.kernel of pi,
+    pi x pibar and rho, which enumerates the graph of each hom."""
     x = _realization(realizations, name)
-    gens, one = list(x.G.generators), Perm.identity(x.G.degree)
-    two = [block_perm([p, one]) for p in gens] + [block_perm([one, p]) for p in gens]
-    pi_pibar = GroupHom(x.X, PermGroup(2 * x.G.degree, two), two)
-    assert set(x.L.elements()) == set(x.pi.kernel().elements())
+    pi, pi_pibar, rho = _homs(x.X, x.G, x.double)
+    assert set(x.L.elements()) == set(pi.kernel().elements())
     assert set(x.D.elements()) == set(pi_pibar.kernel().elements())
     base_table = enumerator.enumerate_cosets(x.presentation, [])
     table = sidki._split_copy_cosets(x.presentation, x.double, 10 ** 6)
     members = [x.element(m) for m in sidki._w_members(table, base_table)]
     assert len(set(members)) == len(members)
-    assert set(members) == set(x.rho.kernel().elements()) == set(x.W.elements())
+    assert set(members) == set(rho.kernel().elements()) == set(x.W.elements())
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT))
+def test_hom_kernels_match_the_word_kernels(realizations, name):
+    """GroupHom.kernel against the kernel read off a defining word of every
+    element, on pi, pi x pibar and rho of the double."""
+    x = realizations[name]
+    for hom in _homs(x.X, x.G, x.double):
+        kernel = hom.kernel()
+        assert set(kernel.elements()) == oracles.word_kernel(hom)
+        assert kernel.generators == \
+            x.X.from_elements(oracles.word_kernel(hom)).generators
 
 
 @pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT) + list(LARGER_TEXT))
 def test_stabilizers_match_the_fixing_filter(realizations, name):
     """L and D, taken as pointwise stabilizers of rho-block points, against
-    the filter over all of X that they replaced: the same generators, and
-    the same elements in the same order with the same words."""
+    the filter over all of X that they replaced: the same generators and
+    the same elements."""
     x = realizations.get(name) or sidki.build(
         parse_presentation({**EXTRA_TEXT, **LARGER_TEXT}[name]))
     index = x.X.degree - 3 * x.G.degree
@@ -89,7 +111,24 @@ def test_stabilizers_match_the_fixing_filter(realizations, name):
         reference = oracles.bfs_closure(x.X, sorted(
             (p for p in fixed if not p.is_identity()), key=lambda p: p.img))
         assert group.generators == reference.generators
-        assert list(group.elements().items()) == list(reference.elements().items())
+        assert set(group.elements()) == set(reference.elements())
+
+
+def test_build_checks_the_guard_before_any_span(monkeypatch):
+    """|X| = [X : split copy] |G| is known from the tables, so a base past
+    the guard stops before L is spanned."""
+    calls = []
+    real = PermGroup.pointwise_stabilizer
+
+    def counting(group, points):
+        calls.append(points)
+        return real(group, points)
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
+    with pytest.raises(SizeGuardError) as info:
+        sidki.build(parse_presentation("< a, b | a^2, b^3, (a*b)^5 >"))  # A5
+    assert str(info.value) == "group of size > 100000 exceeds the configured guard 100000"
+    assert calls == []
 
 
 def test_build_leaves_the_double_unenumerated():
@@ -166,8 +205,9 @@ def test_nilpotence_reports(realizations):
 def test_hom_order_identities(realizations):
     for name in ("C2xC2", "Q8"):
         x = realizations[name]
-        assert x.rho.kernel().order() * x.rho.image().order() == x.X.order()
-        assert x.pi.kernel().order() * x.pi.image().order() == x.X.order()
+        pi, _, rho = _homs(x.X, x.G, x.double)
+        assert rho.kernel().order() * x.im_rho.order() == x.X.order()
+        assert pi.kernel().order() * x.G.order() == x.X.order()   # pi is onto
 
 
 def test_engel_certificate_abelian(realizations):
@@ -237,20 +277,15 @@ def test_build_enumerates_no_double_regularly(monkeypatch):
 
 def _regular_orders(x) -> dict[str, int]:
     """The orders of build's subgroups, recomputed on the regular
-    realization of the double: D and L as kernels, im rho elementwise."""
+    realization of the double: D and L as kernels, DL spanned, and im rho
+    enumerated from rho's generator images."""
     X = enumerator.perm_realization(enumerator.enumerate_cosets(x.double, []))
-    relators = [enumerator.signed_letters(x.double, r) for r in x.double.relators]
-    gens, deg = list(x.G.generators), x.G.degree
-    ident = Perm.identity(deg)
-    two = [block_perm([p, ident]) for p in gens] + [block_perm([ident, p]) for p in gens]
-    D = GroupHom(X, PermGroup(2 * deg, two), two, relators=relators).kernel()
-    L = GroupHom(X, x.G, gens + gens, relators=relators).kernel()
-    rho_images = sidki._rho_images(x.G)
-    rho = GroupHom(X, PermGroup(3 * deg, rho_images), rho_images, relators=relators)
+    pi, pi_pibar, rho = _homs(X, x.G, x.double)
+    D, L = pi_pibar.kernel(), pi.kernel()
     return {"G": x.G.order(), "X": X.order(), "D": D.order(), "L": L.order(),
             "W": D.intersection(L).order(),
             "DL": X.subgroup(D.generators + L.generators).order(),
-            "im_rho": len({rho.image_of(p) for p in X.elements()})}
+            "im_rho": len(rho.target.elements())}
 
 
 @pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
