@@ -8,12 +8,12 @@ order alone falls back to a stabilizer chain, so it also works for groups
 well beyond the guard.  Subgroups are closed by coset extension (Dimino's
 method): a kept generator y grows the closed set H by its right cosets
 H y, H y s, ..., so each element is made once.  ``subgroup``,
-``from_elements``, ``normal_closure``, ``intersection`` and ``center``
-return their group with the member set its span made, and never enumerate
-it again; only a group made from generators alone enumerates its elements,
-breadth-first.  A pointwise stabilizer is closed from Schreier generators,
-without enumerating the group, and gives the group's order by
-orbit-stabilizer.
+``from_elements``, ``normal_closure``, ``pointwise_stabilizer``,
+``intersection`` and ``center`` return their group with the member set its
+span made, and never enumerate it again; only a group made from generators
+alone enumerates its elements, breadth-first.  A pointwise stabilizer is
+closed once, from Schreier generators, without enumerating the group, and
+gives the group's order by orbit-stabilizer.
 
 Engel verification is a forall-forall property, so it is exhaustive over
 ordered pairs (never sampled); the inner loop is vectorized with numpy and
@@ -274,12 +274,13 @@ class PermGroup:
                     work.append(t)
         return self._spanned(span_gens, members)
 
-    def pointwise_stabilizer(self, points: Sequence[int]) -> set[Perm]:
-        """The elements fixing every one of the points, without enumerating
+    def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
+        """The subgroup fixing every one of the points, without enumerating
         the group: level by level, the span of the Schreier generators of the
-        next point's stabilizer in the last level.  As a by-product the
-        group's order is known by orbit-stabilizer, the product of the orbit
-        lengths along the levels times the order of the last level."""
+        next point's stabilizer in the last level, the last returned with its
+        span generators and members.  As a by-product the group's order is
+        known by orbit-stabilizer, the product of the orbit lengths along the
+        levels times the order of the result."""
         if not points:
             raise ArgumentError("pointwise_stabilizer needs a point")
         gens, order = self.generators, 1
@@ -289,7 +290,7 @@ class PermGroup:
             order *= len(transversal)
         if self._order is None:
             self._order = order * len(members)
-        return members
+        return self._spanned(gens, members)
 
     def intersection(self, other: "PermGroup") -> "PermGroup":
         if other.degree != self.degree:

@@ -11,11 +11,13 @@ map rho: g -> (g, g, 1), barg -> (1, g, g), extracts the structural subgroups
 and machine-checks every structural identity the construction promises.  pi
 is rho's second coordinate and pi x pibar its first and third, and G acts
 regularly on each rho block, so L and D are the stabilizers of one point per
-block, taken from Schreier generators; DL is generated by the generators
-of D and L and has order |D| |L| / |W| because D is normal, so it is never
-spanned; X itself is enumerated only by an element-wise check, the Engel
-scan.  pi and rho are not kept: ``build`` checks that the double's relators
-map to the identity under both, and reads their kernels off the blocks.
+block, closed once from Schreier generators; DL is generated by the
+generators of D and L and has order |D| |L| / |W| because D is normal, so
+it is never spanned; X itself is enumerated only by an element-wise check,
+the Engel scan.  The span of the letter differences is made once, and its
+normality read off its generators.  pi and rho are not kept: ``build``
+checks that the double's relators map to the identity under both, and
+reads their kernels off the blocks.
 W has one more routine, ``_w_members``, shared with ``perfect_base_report``:
 it reads the members of ker rho off the coset words.  A failing check aborts
 with a witness: it would indicate an implementation bug, not a mathematical
@@ -111,12 +113,13 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     degree is [X : split copy] + 3 |G|.  SizeGuardError, before any span,
     when [X : split copy] |G| passes the guard.  L and D are the pointwise
     stabilizers of the first point of rho block 1, and of blocks 0 and 2,
-    closed from Schreier generators without enumerating X; |X| is the length
-    of the block-1 orbit times |L| (orbit-stabilizer), and CheckFailure when
-    that is not [X : split copy] |G|.  DL takes the generators of D and L
-    and the order |D| |L| / |W|.  W is checked against ``_w_members``, and
-    the centrality and image checks run on generators.  SizeGuardError,
-    before any enumeration, when the base has positive free rank.
+    kept as ``pointwise_stabilizer`` closes them, without enumerating X; |X|
+    is the length of the block-1 orbit times |L| (orbit-stabilizer), and
+    CheckFailure when that is not [X : split copy] |G|.  DL takes the
+    generators of D and L and the order |D| |L| / |W|.  W is checked against
+    ``_w_members``; normality, centrality and image checks run on
+    generators.  SizeGuardError, before any enumeration, when the base has
+    positive free rank.
     """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
@@ -140,11 +143,10 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     # G is regular, so x is trivial in rho-coordinate k iff x fixes the
     # first point of that block: pi is coordinate 1, pi x pibar are 0 and 2.
     # The stabilizer of the block-1 point also gives |X| by orbit-stabilizer
-    L_members = X.pointwise_stabilizer([index + gdeg])
+    L = X.pointwise_stabilizer([index + gdeg])
     if X.order() != index * G.order():
         raise CheckFailure("faithful_realization", (X.order(), index * G.order()))
-    L_ker = X.from_elements(L_members)
-    D_ker = X.from_elements(X.pointwise_stabilizer([index, index + 2 * gdeg]))
+    D = X.pointwise_stabilizer([index, index + 2 * gdeg])
     signed_relators = [signed_letters(double, r) for r in double.relators]
 
     ngens = len(pres.generators)
@@ -161,16 +163,16 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 
-    W = D_ker.intersection(L_ker)
+    W = D.intersection(L)
     # D is normal and W = D n L, so |DL| = |D| |L| / |W| with no span
-    DL = PermGroup(X.degree, D_ker.generators + L_ker.generators, guard=guard,
-                   known_order=D_ker.order() * L_ker.order() // W.order())
+    DL = PermGroup(X.degree, D.generators + L.generators, guard=guard,
+                   known_order=D.order() * L.order() // W.order())
     G_split = X.subgroup(x_images)
 
     x = XRealization(
         presentation=pres, double=double, G=G, X=X, x_images=x_images,
         G_elements=G_elements, G_words=G_words, ell_images={},
-        D=D_ker, L=L_ker, W=W, DL=DL, im_rho=im_rho, Q=Q,
+        D=D, L=L, W=W, DL=DL, im_rho=im_rho, Q=Q,
     )
     # letter differences, indexed by the base-group element
     for g_elem, w in zip(G_elements, G_words):
@@ -179,20 +181,21 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     # --- structural checks -------------------------------------------------
     L_sub_gens, L_sub = X._span(list(x.ell_images.values()))
     x.check("L_generated_by_letter_differences",
-            len(L_sub) == L_ker.order() and
-            all(g in L_ker.elements() for g in L_sub_gens))
-    L_nc = X.normal_closure(list(x.ell_images.values()))
-    x.check("L_subgroup_equals_normal_closure", L_nc.order() == len(L_sub))
+            len(L_sub) == L.order() and
+            all(g in L.elements() for g in L_sub_gens))
+    # <l> is its normal closure iff X's generators conjugate its generators into it
+    x.check("L_subgroup_equals_normal_closure",
+            all(g.inverse() * s * g in L_sub for s in L_sub_gens for g in X.generators))
     x.check("D_normal_closure_equals_kernel",
-            D_nc.order() == D_ker.order() and
-            all(g in D_ker.elements() for g in D_nc.generators))
+            D_nc.order() == D.order() and
+            all(g in D.elements() for g in D_nc.generators))
 
-    x.check("D_commutes_with_L", D_ker.centralizes(L_ker))
+    x.check("D_commutes_with_L", D.centralizes(L))
     rng = Random(rng_seed)
     bad_pair = None
     for _ in range(32):
-        d = D_ker.random_element(rng)
-        l = L_ker.random_element(rng)
+        d = D.random_element(rng)
+        l = L.random_element(rng)
         if d * l != l * d:
             bad_pair = (d, l)
             break
@@ -205,8 +208,8 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     x.check("W_central_in_DL", W.centralizes(DL))
 
     x.check("splitting_intersection_trivial",
-            L_ker.intersection(G_split).order() == 1)
-    x.check("splitting_orders", L_ker.order() * G_split.order() == X.order())
+            L.intersection(G_split).order() == 1)
+    x.check("splitting_orders", L.order() * G_split.order() == X.order())
     x.check("split_copy_isomorphic_order", G_split.order() == G.order())
 
     # image of rho is the fiber product over the abelianization: the

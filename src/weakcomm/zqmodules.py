@@ -403,13 +403,7 @@ def nil_equation_checks(v: QModule) -> dict:
     k = 1
     for d in v.structure().invariant_factors:
         k *= math.gcd(d, 2)
-    level = v.basis_vectors()
-    depth_ok = False
-    for _ in range(k + 3):
-        level = v.aug_step(level)
-        if not level:
-            depth_ok = True
-            break
+    depth_ok = v.action_nilpotency_class(cap=k + 3) is not None
     return {"two_v_aug2_zero": doubled_ok, "k": k, "v_aug_k3_zero": depth_ok}
 
 

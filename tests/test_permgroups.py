@@ -185,9 +185,26 @@ def test_pointwise_stabilizer_matches_the_filter(elems, data):
     group = PermGroup(degree, [Perm(e) for e in elems])
     stabilizer = group.pointwise_stabilizer(points)
     assert group._elements is None
-    assert {p.img for p in stabilizer} == \
-        {p for p in closure(elems) if all(p[q] == q for q in points)}
+    fixed = {p for p in closure(elems) if all(p[q] == q for q in points)}
+    assert stabilizer._elements is not None     # the members its span made
+    assert {p.img for p in stabilizer.elements()} == fixed
+    assert stabilizer.order() == len(fixed)
+    assert all(g.img in fixed for g in stabilizer.generators)
     assert group.order() == len(closure(elems))   # by orbit-stabilizer
+
+
+@settings(max_examples=300, deadline=None)
+@given(RANDOM_ELEMENTS, st.data())
+def test_a_span_is_normal_iff_the_conjugates_of_its_generators_stay_in_it(elems, data):
+    """The criterion of build's L_subgroup_equals_normal_closure check: the
+    conjugates of span(H)'s generators by the group's generators lie in
+    span(H) iff span(H) is its own normal closure."""
+    group = PermGroup(len(elems[0]), [Perm(e) for e in elems])
+    sub = [Perm(p) for p in data.draw(
+        st.lists(st.sampled_from(sorted(closure(elems))), max_size=3))]
+    gens, members = group._span(sub)
+    stays = all(g.inverse() * s * g in members for s in gens for g in group.generators)
+    assert stays == (group.normal_closure(sub).order() == len(members))
 
 
 def test_engel_checks():

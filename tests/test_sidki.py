@@ -101,17 +101,15 @@ def test_hom_kernels_match_the_word_kernels(realizations, name):
 @pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT) + list(LARGER_TEXT))
 def test_stabilizers_match_the_fixing_filter(realizations, name):
     """L and D, taken as pointwise stabilizers of rho-block points, against
-    the filter over all of X that they replaced: the same generators and
-    the same elements."""
+    the filter over all of X that they replaced: the same elements, and
+    generators drawn from them."""
     x = realizations.get(name) or sidki.build(
         parse_presentation({**EXTRA_TEXT, **LARGER_TEXT}[name]))
     index = x.X.degree - 3 * x.G.degree
     for group, coords in ((x.L, (1,)), (x.D, (0, 2))):
-        fixed = oracles.fixing(x.X, [index + k * x.G.degree for k in coords])
-        reference = oracles.bfs_closure(x.X, sorted(
-            (p for p in fixed if not p.is_identity()), key=lambda p: p.img))
-        assert group.generators == reference.generators
-        assert set(group.elements()) == set(reference.elements())
+        fixed = set(oracles.fixing(x.X, [index + k * x.G.degree for k in coords]))
+        assert set(group.elements()) == fixed
+        assert all(g in fixed for g in group.generators)
 
 
 def test_build_checks_the_guard_before_any_span(monkeypatch):
@@ -129,6 +127,54 @@ def test_build_checks_the_guard_before_any_span(monkeypatch):
         sidki.build(parse_presentation("< a, b | a^2, b^3, (a*b)^5 >"))  # A5
     assert str(info.value) == "group of size > 100000 exceeds the configured guard 100000"
     assert calls == []
+
+
+def test_build_keeps_the_stabilizers_it_closed(monkeypatch):
+    """L and D are the groups pointwise_stabilizer returned, not closed again."""
+    returned = {}
+    real = PermGroup.pointwise_stabilizer
+
+    def recording(group, points):
+        returned[tuple(points)] = result = real(group, points)
+        return result
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", recording)
+    x = sidki.build(parse_presentation(SUITE_TEXT["S3"]))
+    index, gdeg = x.X.degree - 3 * x.G.degree, x.G.degree
+    assert x.L is returned[(index + gdeg,)]
+    assert x.D is returned[(index, index + 2 * gdeg)]
+
+
+def test_build_spans_the_letter_differences_once(monkeypatch):
+    """The normality of the span of the letter differences is read off its
+    generators; their normal closure is never spanned."""
+    calls = []
+    real = PermGroup.normal_closure
+
+    def recording(group, gens):
+        calls.append(list(gens))
+        return real(group, gens)
+
+    monkeypatch.setattr(PermGroup, "normal_closure", recording)
+    x = sidki.build(parse_presentation(SUITE_TEXT["S3"]))
+    ells = list(x.ell_images.values())
+    assert calls and all(gens != ells for gens in calls)
+
+
+def test_build_verifies_the_perfect_base_a5():
+    """A5 past the default guard: every check passes, the centrality of W
+    for a perfect base included, and perfect_base_report agrees on the
+    orders."""
+    pres = parse_presentation("< a, b | a^2, b^3, (a*b)^5 >")
+    x = sidki.build(pres, guard=10 ** 6, raise_on_failure=False)
+    assert x.failed_checks() == []
+    assert "W_central_for_perfect_base" in {c["name"] for c in x.checks}
+    orders = x.orders()
+    assert orders == {"G": 60, "X": 432_000, "D": 120, "L": 7200, "W": 2,
+                      "DL": 432_000, "im_rho": 216_000}
+    rep = sidki.perfect_base_report(pres)
+    assert (rep["X_order"], rep["W_order"], rep["im_rho_order"]) == \
+        (orders["X"], orders["W"], orders["im_rho"])
 
 
 def test_build_leaves_the_double_unenumerated():
