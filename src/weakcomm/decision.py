@@ -11,11 +11,12 @@ enumeration with trivial subgroup realizes the group faithfully and decides
 both directions; partial quotients certify non-triviality only.  Verdicts
 are always certified; Unknown carries the spent budgets.
 
-Ball counting walks oracle normal forms when the oracle has them: each
-generator becomes a map from the normal form of u to that of u*g, so the
-breadth-first search builds no word per step.  Oracles without normal forms
-deduplicate by pairwise equality queries.  Either way its correctness reduces
-to the oracle's.  The growth classifier is a finite-data heuristic and says so.
+Every oracle has a normal form and a right multiplier, and a finite oracle
+takes only a regular coset table (trivial subgroup), whose free action makes
+one point's image name the element.  Ball counting walks normal forms alone:
+each generator becomes a map from the normal form of u to that of u*g, so the
+breadth-first search builds no word per step, and its correctness reduces to
+the oracle's.  The growth classifier is a finite-data heuristic and says so.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .words import GenSymbol, Word, commutator, rho_word
 # -- oracles ---------------------------------------------------------------------
 
 class WPOracle:
-    """Base interface: a sound, total decision procedure for one group."""
+    """Base interface: a sound, total decision procedure for one group, with
+    a normal form and a right multiplier."""
 
     alphabet: tuple[GenSymbol, ...]
 
@@ -45,19 +47,12 @@ class WPOracle:
         raise NotImplementedError
 
     def normal_form(self, w: Word):
-        """Hashable canonical key, or None when unsupported."""
-        return None
-
-    def right_multiplier(self, w: Word):
-        """The map normal_form(u) -> normal_form(u * w), for oracles with a
-        normal form."""
+        """Hashable canonical key: equal exactly for words equal in the group."""
         raise NotImplementedError
 
-    def equal(self, u: Word, v: Word) -> bool:
-        nu, nv = self.normal_form(u), self.normal_form(v)
-        if nu is not None and nv is not None:
-            return nu == nv
-        return self.is_trivial(u * v.inverse())
+    def right_multiplier(self, w: Word):
+        """The map normal_form(u) -> normal_form(u * w)."""
+        raise NotImplementedError
 
 
 class FreeGroupOracle(WPOracle):
@@ -99,10 +94,14 @@ class FreeAbelianOracle(WPOracle):
 
 
 class FiniteRealizationOracle(WPOracle):
-    """Backed by a closed coset table with trivial subgroup (regular action)."""
+    """Backed by a closed regular coset table (trivial subgroup), whose action
+    is free: the coset a word sends coset 0 to names the element.
+    ArgumentError on a table over a nontrivial subgroup, whose action decides
+    only the quotient's word problem."""
 
     def __init__(self, pres: Presentation, table: CosetTable):
-        self.pres = pres
+        if table.subgroup_words:
+            raise ArgumentError("a finite oracle needs a regular coset table")
         self.table = table
         self.alphabet = pres.generators
 
@@ -110,16 +109,10 @@ class FiniteRealizationOracle(WPOracle):
         return self.table.is_trivial_word(w)
 
     def normal_form(self, w: Word):
-        if self.table.subgroup_words:
-            return self.table.word_image_unchecked(w).img
-        # the action is regular, so the image of one point is already faithful
         return self.table.trace_word(0, w)
 
     def right_multiplier(self, w: Word):
         table = self.table
-        if table.subgroup_words:
-            w_img = table.word_image_unchecked(w).img
-            return lambda a: tuple(map(w_img.__getitem__, a))
         return [table.trace_word(c, w) for c in range(table.n_cosets)].__getitem__
 
 
@@ -303,10 +296,9 @@ def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
 def ball_sizes(gens: Sequence[Word], oracle: WPOracle, radius: int) -> list[int]:
     """|B(n)| for n = 0..radius in the word metric of the given generators.
 
-    The generating set is closed under formal inverses.  With oracle normal
-    forms the search runs on them alone, one right multiplier per generator;
-    otherwise it keeps words and deduplicates by pairwise equality.  An oracle
-    failure surfaces as an exception (growth needs decisions).
+    The generating set is closed under formal inverses.  The search runs on
+    the oracle's normal forms alone, one right multiplier per generator.  An
+    oracle failure surfaces as an exception (growth needs decisions).
     """
     if radius < 0:
         raise ArgumentError("radius must be >= 0")
@@ -317,35 +309,20 @@ def ball_sizes(gens: Sequence[Word], oracle: WPOracle, radius: int) -> list[int]
             seen_letters.add(g)
             letters.append(g)
     start = oracle.normal_form(Word())
+    steps = [oracle.right_multiplier(g) for g in letters]
+    known = {start}
+    frontier = [start]
     sizes = [1]
-    if start is not None:
-        steps = [oracle.right_multiplier(g) for g in letters]
-        known = {start}
-        frontier = [start]
-        for _ in range(radius):
-            nxt = []
-            for key in frontier:
-                for step in steps:
-                    v = step(key)
-                    if v not in known:
-                        known.add(v)
-                        nxt.append(v)
-            frontier = nxt
-            sizes.append(len(known))
-        return sizes
-    known_words: list[Word] = [Word()]
-    frontier = [Word()]
     for _ in range(radius):
         nxt = []
-        for w in frontier:
-            for letter in letters:
-                v = w * letter
-                if any(oracle.equal(v, u) for u in known_words + nxt):
-                    continue
-                nxt.append(v)
-        known_words.extend(nxt)
+        for key in frontier:
+            for step in steps:
+                v = step(key)
+                if v not in known:
+                    known.add(v)
+                    nxt.append(v)
         frontier = nxt
-        sizes.append(len(known_words))
+        sizes.append(len(known))
     return sizes
 
 

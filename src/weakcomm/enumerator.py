@@ -92,10 +92,12 @@ class CosetTable:
         return c
 
     def is_trivial_word(self, w: Word) -> bool:
-        """For a regular table (trivial subgroup) the action is free, so a
-        word is trivial iff it fixes coset 0."""
+        """On a regular table (trivial subgroup) the action is free, so a word
+        is trivial iff it fixes coset 0.  ArgumentError on a table over a
+        nontrivial subgroup, whose action decides only the quotient's word
+        problem."""
         if self.subgroup_words:
-            return self.word_image_unchecked(w).is_identity()
+            raise ArgumentError("triviality is decided on a regular coset table only")
         return self.trace_word(0, w) == 0
 
     def word_image_unchecked(self, w: Word) -> Perm:

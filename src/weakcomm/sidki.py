@@ -96,12 +96,20 @@ def _rho_images(G: PermGroup) -> list[Perm]:
            [block_perm([one, p, p]) for p in G.generators]
 
 
-def _split_copy_cosets(pres: Presentation, double: Presentation,
-                       max_cosets: int) -> CosetTable:
-    """The cosets of the split copy <x : x in X> in the double; they biject
-    with the letter-difference kernel L."""
-    return enumerate_cosets(double, [Word([g]) for g in pres.generators],
-                            max_cosets=max_cosets)
+def _split_copy(pres: Presentation, max_cosets: int, guard: int
+                ) -> tuple[FinAbGroup, CosetTable, PermGroup, Presentation, CosetTable]:
+    """Q, the regular base table, G, the double and the table of the cosets
+    of the split copy <x : x in X> in the double, which biject with the
+    letter-difference kernel L.  The base is enumerated once; its table also
+    supplies the witnesses of the double.  SizeGuardError, before any
+    enumeration, when the base has positive free rank."""
+    Q = require_finite(pres, max_cosets)
+    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
+    G = perm_realization(base_table, guard=guard)
+    double = double_presentation(pres, element_witnesses(base_table))
+    table = enumerate_cosets(double, [Word([g]) for g in pres.generators],
+                             max_cosets=max_cosets)
+    return Q, base_table, G, double, table
 
 
 def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
@@ -123,15 +131,9 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     """
     if any(g.bar for g in pres.generators):
         raise ArgumentError("base presentation must not contain barred generators")
-    Q = require_finite(pres, max_cosets)
-
-    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
-    G = perm_realization(base_table, guard=guard)
+    Q, base_table, G, double, table = _split_copy(pres, max_cosets, guard)
     G_words = base_table.coset_words()
     G_elements = [base_table.word_image(pres, w) for w in G_words]
-
-    double = double_presentation(pres, element_witnesses(base_table))
-    table = _split_copy_cosets(pres, double, max_cosets)
     index = table.n_cosets
     rho_images = _rho_images(G)
     gdeg = G.degree
@@ -392,16 +394,13 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
       ``build`` checks W with;
     * every member of W commutes with all generators.
 
-    The base is enumerated once; its table also supplies the witnesses of
-    the double.
+    The base is enumerated once, by ``_split_copy`` as in ``build``.  A
+    finite group is perfect iff its abelianization is trivial, so that is
+    checked first.
     """
-    require_finite(pres, max_cosets)
-    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
-    G = perm_realization(base_table, guard=10 ** 7)
-    if G.derived_subgroup().order() != G.order():
+    if require_finite(pres, max_cosets).order() != 1:
         raise ArgumentError("base group is not perfect")
-    double = double_presentation(pres, element_witnesses(base_table))
-    table = _split_copy_cosets(pres, double, max_cosets)
+    _, base_table, G, _, table = _split_copy(pres, max_cosets, guard=10 ** 7)
     index = table.n_cosets                      # = |L|
     x_order = index * G.order()
 
