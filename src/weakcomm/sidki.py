@@ -228,8 +228,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
             q_order is not None and G.order() ** 3 == im_rho.order() * q_order)
     x.check("order_product", X.order() == W.order() * im_rho.order())
 
-    ell_ok, ell_witness = _ell_identity(x, samples=None if G.order() <= 100 else 200,
-                                        rng=rng)
+    ell_ok, ell_witness = _ell_identity(x)
     x.check("letter_difference_identity", ell_ok, ell_witness)
 
     if derived.order() == G.order():
@@ -291,34 +290,36 @@ def _w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
     return members
 
 
-def _ell_identity(x: XRealization, samples: int | None, rng: Random
-                  ) -> tuple[bool, tuple | None]:
-    """Both conjugation identities for letter differences:
-    l_u^x = l_{ux} l_x^-1   and   l_u^{bar x} = l_x^-1 l_{ux}."""
-    n = len(x.G_elements)
-    if samples is None:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-    # per base element x, its images x and bar x in X and the products that
-    # recast the identities without conjugation: l_u x l_x = x l_{ux}
-    # and l_u bar x = bar x l_x^-1 l_{ux}; the inverse of l_x is taken once
-    images = {}
-    for j in {j for _, j in pairs}:
-        img_x = x.element(x.G_words[j])
-        img_xbar = x.element(bar_word(x.G_words[j]))
-        lx = x.ell_images[x.G_elements[j]]
-        images[j] = (img_x, img_x * lx, img_xbar, img_xbar * lx.inverse())
-    for i, j in pairs:
-        u, xg = x.G_elements[i], x.G_elements[j]
-        wu, wx = x.G_words[i], x.G_words[j]
-        lu = x.ell_images[u]
-        lux = x.ell_images[u * xg]
-        img_x, x_lx, img_xbar, xbar_lx_inv = images[j]
-        if lu * x_lx != img_x * lux:
-            return False, ("unbarred", str(wu), str(wx))
-        if lu * img_xbar != xbar_lx_inv * lux:
-            return False, ("barred", str(wu), str(wx))
+def _ell_identity(x: XRealization) -> tuple[bool, tuple | None]:
+    """Both conjugation identities for letter differences, on all |G|^2 pairs:
+    l_u^x = l_{ux} l_x^-1   and   l_u^{bar x} = l_x^-1 l_{ux}.
+
+    They are recast without conjugation, l_u x l_x = x l_{ux} and
+    l_u bar x = bar x l_x^-1 l_{ux}, and each side is compared on a base of
+    X, not multiplied out: coset 0 is fixed only by the split copy, and the
+    first point of rho block 0 only by the identity of that copy, which acts
+    on the block as G does, regularly.
+    """
+    base = (0, x.X.degree - 3 * x.G.degree)
+    # per element x of G, its images x and bar x in X and the products
+    # x l_x and bar x l_x^-1; the inverse of l_x is taken once
+    images = []
+    for w, g in zip(x.G_words, x.G_elements):
+        img_x = x.element(w)
+        img_xbar = x.element(bar_word(w))
+        lx = x.ell_images[g]
+        images.append((img_x.img, (img_x * lx).img, img_xbar.img,
+                       (img_xbar * lx.inverse()).img))
+    for u, wu in zip(x.G_elements, x.G_words):
+        lu = x.ell_images[u].img
+        for xg, wx, (img_x, x_lx, img_xbar, xbar_lx_inv) in \
+                zip(x.G_elements, x.G_words, images):
+            lux = x.ell_images[u * xg].img
+            for b in base:
+                if x_lx[lu[b]] != lux[img_x[b]]:
+                    return False, ("unbarred", str(wu), str(wx))
+                if img_xbar[lu[b]] != lux[xbar_lx_inv[b]]:
+                    return False, ("barred", str(wu), str(wx))
     return True, None
 
 
@@ -378,7 +379,7 @@ def engel_certificate(x: XRealization, guard: int | None = None,
     return report
 
 
-def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict:
+def perfect_base_report(pres: Presentation) -> dict:
     """Large-instance checks for a perfect base group (ArgumentError if the
     base is not perfect, SizeGuardError before enumerating if it is infinite).
 
@@ -398,9 +399,9 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
     finite group is perfect iff its abelianization is trivial, so that is
     checked first.
     """
-    if require_finite(pres, max_cosets).order() != 1:
+    if require_finite(pres, 2_000_000).order() != 1:
         raise ArgumentError("base group is not perfect")
-    _, base_table, G, _, table = _split_copy(pres, max_cosets, guard=10 ** 7)
+    _, base_table, G, _, table = _split_copy(pres, 2_000_000, guard=10 ** 7)
     index = table.n_cosets                      # = |L|
     x_order = index * G.order()
 
@@ -429,8 +430,7 @@ def perfect_base_report(pres: Presentation, max_cosets: int = 2_000_000) -> dict
     }
 
 
-def verification_report(x: XRealization, include_engel: bool = False,
-                        guard: int | None = None) -> dict:
+def verification_report(x: XRealization, include_engel: bool = False) -> dict:
     report = {
         "group": str(x.presentation),
         "double": str(x.double),
@@ -441,8 +441,7 @@ def verification_report(x: XRealization, include_engel: bool = False,
     }
     if include_engel:
         try:
-            report["engel"] = engel_certificate(x, guard=guard,
-                                                raise_on_failure=False)
+            report["engel"] = engel_certificate(x, raise_on_failure=False)
         except ArgumentError as exc:
             report["engel"] = {"error": str(exc)}
     return report

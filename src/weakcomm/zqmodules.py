@@ -3,8 +3,11 @@
 A ``QModule`` is a relation lattice plus action matrices: the finitely
 generated abelian group Z^n / (relation lattice), on n chosen generators,
 with one integer n x n matrix per acting generator for a right action that
-factors through an abelian group.  Equality and membership questions are
-settled in Smith-form coordinates throughout.
+factors through an abelian group.  The Smith form of the relation matrix is
+taken once, in the constructor: equality, membership and element orders are
+read in its coordinates, and the invariant factors are its diagonal.  The
+order of a submodule comes from one cokernel, of the relations beside the
+orbit of its generators, so no submodule is ever enumerated.
 
 Builders:
 
@@ -21,11 +24,12 @@ Builders:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArgumentError, SizeGuardError, WeakcommError
-from .intlinalg import FinAbGroup, IntMatrix, smith_normal_form
+from .intlinalg import FinAbGroup, IntMatrix, cokernel, smith_normal_form
 from .permgroups import Perm, PermGroup, abelian_invariants, quotient_realization
 
 Vector = tuple[int, ...]
@@ -54,12 +58,11 @@ class QModule:
             if len(r) != self.n:
                 raise ArgumentError("relation length mismatch")
         self.action_matrices = list(action_matrices)
-        rel_matrix = IntMatrix.from_columns(self.relations, self.n) \
-            if self.relations else IntMatrix.zero(self.n, 0)
-        u, d, _ = smith_normal_form(rel_matrix)
-        self._u = u
-        self._diag = [d.data[i][i] for i in range(min(rel_matrix.rows, rel_matrix.cols))]
-        self._diag += [0] * (self.n - len(self._diag))
+        # U R V = D for the relation matrix R: coordinate i of v is (U v)_i
+        # mod d_i, and the rows with d_i = 1 are dropped, as always 0 there
+        u, d, _ = smith_normal_form(IntMatrix.from_columns(self.relations, self.n))
+        diag = [d.data[i][i] if i < d.cols else 0 for i in range(self.n)]
+        self._coords = [(row, di) for row, di in zip(u.data, diag) if di != 1]
         for a in self.action_matrices:
             if a.rows != self.n or a.cols != self.n:
                 raise ArgumentError("action matrix shape mismatch")
@@ -80,36 +83,29 @@ class QModule:
     # -- canonical coordinates ----------------------------------------------
 
     def canonical(self, v: Sequence[int]) -> Vector:
-        w = self._u.apply(list(v))
-        return tuple(x % d if d > 0 else x for x, d in zip(w, self._diag))
+        if len(v) != self.n:
+            raise ArgumentError("vector length mismatch")
+        xs = (sum(map(operator.mul, row, v)) for row, _ in self._coords)
+        return tuple(x % d if d else x for x, (_, d) in zip(xs, self._coords))
 
     def is_zero(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.canonical(v))
+        return not any(self.canonical(v))
 
     def structure(self) -> FinAbGroup:
-        free = sum(1 for d in self._diag if d == 0)
-        return FinAbGroup.from_orders([d for d in self._diag if d > 1], free)
-
-    def zero(self) -> Vector:
-        return tuple([0] * self.n)
+        """The invariant factors are the Smith diagonal, a divisibility chain."""
+        return FinAbGroup(tuple(d for _, d in self._coords if d),
+                          sum(1 for _, d in self._coords if not d))
 
     def basis_vectors(self) -> list[Vector]:
         return [_unit(self.n, i) for i in range(self.n)]
 
-    def add_canonical(self, a: Vector, b: Vector) -> Vector:
-        return tuple((x + y) % d if d > 0 else x + y
-                     for x, y, d in zip(a, b, self._diag))
-
     def element_order(self, v: Sequence[int]) -> int:
         """Order of the element in the quotient; infinite orders are errors."""
-        w = self.canonical(v)
         n = 1
-        for x, d in zip(w, self._diag):
-            if d == 0:
-                if x != 0:
-                    raise SizeGuardError("infinite", 0, what="element order")
-                continue
+        for x, (_, d) in zip(self.canonical(v), self._coords):
             if x:
+                if not d:
+                    raise SizeGuardError("infinite", 0, what="element order")
                 n = math.lcm(n, d // math.gcd(d, x))
         return n
 
@@ -151,50 +147,32 @@ class QModule:
 
     # -- submodules -------------------------------------------------------------
 
-    def submodule(self, seeds: Sequence[Vector], guard: int = 100_000
-                  ) -> set[Vector]:
-        """Canonical elements of the submodule generated by the seed vectors.
+    def submodule_order_and_exponent(self, seeds: Sequence[Vector]) -> tuple[int, int]:
+        """Order and exponent of the submodule N generated by the seeds.
 
-        Requires the underlying group to be finite.
+        The orbit of the seeds under the action matrices, one vector per
+        canonical form, spans N additively, so |N| = |V| / |V / N| with V / N
+        the cokernel of the relations and the orbit side by side, and exp N
+        is the lcm of the orbit's element orders.  N is never enumerated.
+        SizeGuardError when V is infinite.
         """
-        if self.structure().free_rank:
-            raise SizeGuardError("infinite", guard, what="submodule enumeration")
-        gens: list[Vector] = []
-        span: set[Vector] = {self.canonical(self.zero())}
+        order = self.structure().order()
+        if order is None:
+            raise SizeGuardError("infinite", 0, what="submodule")
+        orbit: dict[Vector, Vector] = {}
         work = [tuple(map(int, s)) for s in seeds]
         while work:
-            v = work.pop(0)
-            if self.canonical(v) in span:
-                continue
-            gens.append(v)
-            span = self._additive_closure(gens, guard)
-            for i in range(len(self.action_matrices)):
-                work.append(self.act(i, v))
-        return span
-
-    def _additive_closure(self, gens: Sequence[Vector], guard: int) -> set[Vector]:
-        zero = self.canonical(self.zero())
-        span = {zero}
-        frontier = [zero]
-        cgens = [self.canonical(g) for g in gens]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in cgens:
-                    y = self.add_canonical(x, g)
-                    if y not in span:
-                        if len(span) >= guard:
-                            raise SizeGuardError(f"> {guard}", guard, what="submodule")
-                        span.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return span
-
-    def subgroup_order_and_exponent(self, elems: set[Vector]) -> tuple[int, int]:
-        exp = 1
-        for v in elems:
-            exp = math.lcm(exp, self.element_order(v))
-        return len(elems), exp
+            v = work.pop()
+            c = self.canonical(v)
+            if c not in orbit:
+                orbit[c] = v
+                work.extend(self.act(i, v) for i in range(len(self.action_matrices)))
+        quotient = cokernel(IntMatrix.from_columns(self.relations + list(orbit.values()),
+                                                   self.n))
+        exponent = 1
+        for v in orbit.values():
+            exponent = math.lcm(exponent, self.element_order(v))
+        return order // quotient.order(), exponent
 
 
 # -- builders -------------------------------------------------------------------
@@ -244,10 +222,11 @@ def aug_mod_I2(group: PermGroup, guard: int | None = None) -> QModule:
 @dataclass
 class AbelianSection:
     """An abelian quotient num/den realized with coordinates, plus its
-    conjugation action builder."""
+    conjugation action builder and the quotient group it was read from."""
 
     module: QModule
     matrix_of: Callable[[Perm], IntMatrix]
+    quotient: PermGroup
 
 
 def module_from_abelian_quotient(num: PermGroup, den: PermGroup,
@@ -300,7 +279,7 @@ def module_from_abelian_quotient(num: PermGroup, den: PermGroup,
         return m
 
     module = QModule(k, relations, [matrix_of(t) for t in acting_elems])
-    return AbelianSection(module, matrix_of)
+    return AbelianSection(module, matrix_of, quot)
 
 
 def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -377,17 +356,15 @@ def ell_module_consistency(x, guard: int | None = None) -> dict:
 
     Returns invariant factors from three routes: the relation-lattice model,
     the realization section, and a torsion-counting pass on the abelian
-    quotient group itself.
+    quotient group the section was read from.
     """
     v1 = x.aug_module(guard)
     section = ell_section_module(x, guard=guard)
     v2 = section.module
-    quot, _ = quotient_realization(x.L, x.L.derived_subgroup())
-    counted = abelian_invariants(quot)
     return {
         "aug_model_invariants": v1.structure().invariant_factors,
         "realization_invariants": v2.structure().invariant_factors,
-        "torsion_count_invariants": counted,
+        "torsion_count_invariants": abelian_invariants(section.quotient),
         "matched_generator_agreement": modules_agree_on_matched_generators(v1, v2),
     }
 
@@ -412,9 +389,11 @@ def w_structure_checks(x, guard: int = 100_000) -> dict:
 
     Computes N = W * Aug^(3+s) and checks the necessary conditions for
     "N sits inside a subquotient of M": the order of N divides the order of
-    M and its exponent divides the exponent of M.  When the derived subgroup
-    of the base is perfect the whole action on W must be nilpotent, and when
-    M vanishes the action class is forced to be at most 3 + s.
+    M and its exponent divides the exponent of M.  The order and exponent of
+    N come from ``QModule.submodule_order_and_exponent``, without
+    enumerating N.  When the derived subgroup of the base is perfect the
+    whole action on W must be nilpotent, and when M vanishes the action
+    class is forced to be at most 3 + s.
     """
     G = x.G
     v = x.aug_module(guard)
@@ -428,9 +407,8 @@ def w_structure_checks(x, guard: int = 100_000) -> dict:
     m = module_M(G, guard=guard)
     m_order = m.structure().order()
     m_exponent = m.structure().exponent()
-    levels = wmod.aug_levels(3 + s)
-    n_sub = wmod.submodule(levels[3 + s], guard=guard)
-    n_order, n_exponent = wmod.subgroup_order_and_exponent(n_sub)
+    n_order, n_exponent = wmod.submodule_order_and_exponent(
+        wmod.aug_levels(3 + s)[-1])
     w_class = wmod.action_nilpotency_class(
         cap=(wmod.structure().order() or 0) + 3 + s)
     result = {

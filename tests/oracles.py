@@ -18,7 +18,7 @@ from itertools import combinations
 
 from weakcomm.decision import WPOracle
 from weakcomm.enumerator import CosetTable, _Enumeration
-from weakcomm.errors import ArgumentError, ParseError
+from weakcomm.errors import ArgumentError, ParseError, SizeGuardError
 from weakcomm.intlinalg import FinAbGroup
 from weakcomm.isoperimetry import AreaCertificate, _abelian_feasible
 from weakcomm.permgroups import GroupHom, Perm, PermGroup, evaluate
@@ -618,3 +618,43 @@ def lazy_parse_word(text: str, alphabet=None) -> Word:
     if tok is not None:
         raise ParseError(f"trailing input {tok!r}", toks.pos)
     return w
+
+
+# QModule.submodule and subgroup_order_and_exponent as they were before the
+# order came from a cokernel, with one raw representative kept per element:
+# the old routine took element orders on canonical forms, which are not
+# vectors of the module's own coordinates
+def enumerated_submodule(module, seeds, guard: int = 100_000) -> tuple[int, int]:
+    """Order and exponent of the submodule the seeds generate, by listing it:
+    each seed or action image that the span lacks becomes a generator, the
+    span is closed additively again, and the generator's images under the
+    action are queued; the exponent is the lcm of the representatives'
+    orders."""
+    zero = tuple([0] * module.n)
+    gens: list[tuple[int, ...]] = []
+    span = {module.canonical(zero): zero}
+    work = [tuple(map(int, s)) for s in seeds]
+    while work:
+        v = work.pop(0)
+        if module.canonical(v) in span:
+            continue
+        gens.append(v)
+        span = {module.canonical(zero): zero}
+        frontier = [zero]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = tuple(a + b for a, b in zip(x, g))
+                    c = module.canonical(y)
+                    if c not in span:
+                        if len(span) >= guard:
+                            raise SizeGuardError(f"> {guard}", guard, what="submodule")
+                        span[c] = y
+                        nxt.append(y)
+            frontier = nxt
+        work.extend(module.act(i, v) for i in range(len(module.action_matrices)))
+    exponent = 1
+    for v in span.values():
+        exponent = math.lcm(exponent, module.element_order(v))
+    return len(span), exponent

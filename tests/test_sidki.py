@@ -1,4 +1,4 @@
-from random import Random
+import copy
 
 import pytest
 
@@ -225,7 +225,31 @@ def test_generator_commutators_suffice_for_d(realizations):
 
 def test_ell_identity_exhaustive(realizations):
     for name in ("C2xC2", "S3"):
-        assert sidki._ell_identity(realizations[name], None, Random(7)) == (True, None)
+        assert sidki._ell_identity(realizations[name]) == (True, None)
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + list(EXTRA_TEXT))
+def test_coset_0_and_the_first_rho_point_are_a_base_of_x(realizations, name):
+    """The two points on which _ell_identity compares elements of X."""
+    x = _realization(realizations, name)
+    assert x.X.pointwise_stabilizer([0, x.X.degree - 3 * x.G.degree]).order() == 1
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4", "Q8"])
+def test_ell_identity_catches_a_letter_difference_moved_in_d(realizations, name):
+    """Each mutant multiplies one l_u by a nontrivial generator of D."""
+    x = _realization(realizations, name)
+    mutants = 0
+    for u in x.G_elements:
+        for d in x.D.generators:
+            if d.is_identity():
+                continue
+            mutant = copy.copy(x)
+            mutant.ell_images = {**x.ell_images, u: x.ell_images[u] * d}
+            ok, witness = sidki._ell_identity(mutant)
+            assert not ok and witness is not None, (u, d)
+            mutants += 1
+    assert mutants >= len(x.G_elements)
 
 
 def test_w_central_and_l_not_normally_bigger(realizations):

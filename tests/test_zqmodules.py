@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from weakcomm import sidki, zqmodules
+from weakcomm import intlinalg, sidki, zqmodules
 from weakcomm.enumerator import enumerate_cosets, perm_realization
 from weakcomm.errors import ArgumentError, SizeGuardError
 from weakcomm.intlinalg import FinAbGroup, IntMatrix
@@ -9,6 +10,8 @@ from weakcomm.zqmodules import (QModule, aug_mod_I2, ell_module_consistency,
                                 ell_section_module, module_M,
                                 modules_agree_on_matched_generators,
                                 nil_equation_checks, w_structure_checks)
+
+from . import oracles
 
 
 def realization_of(text):
@@ -135,6 +138,27 @@ def test_module_reports_share_one_augmentation_module(suite, monkeypatch):
     assert len(built) == 1
 
 
+def test_reports_read_the_one_smith_form_and_the_one_section(realizations, monkeypatch):
+    x = realizations["S3"]
+    v = x.aug_module()
+    sections = []
+    real = zqmodules.quotient_realization
+
+    def recording(num, den):
+        sections.append(num)
+        return real(num, den)
+
+    monkeypatch.setattr(zqmodules, "quotient_realization", recording)
+    report = ell_module_consistency(x)
+    assert sections == [x.L]
+
+    def refused(m):
+        raise AssertionError("a second Smith form")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refused)
+    assert v.structure().invariant_factors == report["aug_model_invariants"]
+
+
 def test_action_class_monotone_under_quotients(realizations):
     v = aug_mod_I2(realizations["Q8"].G)
     s = v.action_nilpotency_class(cap=20)
@@ -158,12 +182,71 @@ def test_matched_generator_comparison_detects_mismatch(realizations):
 def test_submodule_closure():
     # Z/4 x Z/2 with a shear action that genuinely mixes the factors
     v = QModule(2, [(4, 0), (0, 2)], [IntMatrix([[1, 0], [1, 1]])])
-    sub = v.submodule([(2, 0)])
-    assert len(sub) == 2                 # 2*e0 is fixed by the shear
-    sub = v.submodule([(1, 0)])
-    assert len(sub) == 8                 # e0 -> e0 + e1 drags in the second factor
-    order, exponent = v.subgroup_order_and_exponent(sub)
-    assert order == 8 and exponent == 4
+    # 2*e0 is fixed by the shear
+    assert v.submodule_order_and_exponent([(2, 0)]) == (2, 2)
+    # e0 -> e0 + e1 drags in the second factor
+    assert v.submodule_order_and_exponent([(1, 0)]) == (8, 4)
+
+
+def test_submodule_orders_are_read_in_the_modules_own_coordinates():
+    # Z^2 / <(2, 0), (0, 3)> is Z/6; its Smith coordinates are not e0, e1
+    v = QModule(2, [(2, 0), (0, 3)], [IntMatrix.identity(2)])
+    assert v.submodule_order_and_exponent([(1, 0)]) == (2, 2)
+    assert v.submodule_order_and_exponent([(1, 1)]) == (6, 6)
+
+
+def test_submodules_of_an_infinite_module_are_refused():
+    v = QModule(2, [(2, 0)], [IntMatrix.identity(2)])
+    with pytest.raises(SizeGuardError):
+        v.submodule_order_and_exponent([(1, 0)])
+
+
+@st.composite
+def small_modules(draw):
+    """A module sum Z/d_i, d_1 | ... | d_n, in coordinates mixed by a
+    unimodular P, with an endomorphism M of it and a polynomial in M as the
+    action, and sometimes one more random relation, which the action need
+    not preserve."""
+    n = draw(st.integers(1, 3))
+    chain = [draw(st.integers(1, 6))]
+    for _ in range(n - 1):
+        chain.append(chain[-1] * draw(st.integers(1, 2)))
+    # (i, j) with i > j must be a multiple of d_i / d_j for M to be well defined
+    m = IntMatrix([[draw(st.integers(-3, 3)) * (chain[i] // chain[j] if i > j else 1)
+                    for j in range(n)] for i in range(n)])
+    p, p_inv = IntMatrix.identity(n), IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        if i != j:
+            e, e_inv = IntMatrix.identity(n), IntMatrix.identity(n)
+            e.data[i][j], e_inv.data[i][j] = c, -c
+            p, p_inv = p @ e, e_inv @ p_inv
+    relations = [tuple(p.apply([chain[j] if k == j else 0 for k in range(n)]))
+                 for j in range(n)]
+    combination = [draw(st.integers(-2, 2)) for _ in range(n)]
+    relations.append(tuple(sum(c * r[i] for c, r in zip(combination, relations))
+                           for i in range(n)))
+    relations += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=1))
+    a = p @ m @ p_inv
+    coeffs = [draw(st.integers(-2, 2)) for _ in range(3)]
+    b = IntMatrix([[coeffs[0] * (i == j) + coeffs[1] * a.data[i][j] + coeffs[2] * aa
+                    for j, aa in enumerate(row)] for i, row in enumerate((a @ a).data)])
+    actions = [a, b][:draw(st.integers(0, 2))]
+    try:
+        v = QModule(n, relations, actions)
+    except ArgumentError:
+        assume(False)
+    seeds = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * n), min_size=1, max_size=3))
+    return v, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_modules())
+def test_submodule_order_and_exponent_match_the_enumeration(module_and_seeds):
+    v, seeds = module_and_seeds
+    assert v.submodule_order_and_exponent(seeds) == \
+        oracles.enumerated_submodule(v, seeds)
 
 
 def test_commuting_action_enforced():
