@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .enumerator import CosetTable, enumerate_cosets, signed_letters
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
-from .isoperimetry import minimal_area_search
+from .isoperimetry import _mul, minimal_area_search
 from .permgroups import Perm, evaluate
 from .presentations import Presentation, require_finite
 from .words import GenSymbol, Word, commutator, rho_word
@@ -58,24 +58,21 @@ class WPOracle:
 class FreeGroupOracle(WPOracle):
     def __init__(self, alphabet: Sequence[GenSymbol]):
         self.alphabet = tuple(g.generator for g in alphabet)
+        self._codes = {(g.name, g.bar): i + 1 for i, g in enumerate(self.alphabet)}
 
     def is_trivial(self, w: Word) -> bool:
         return w.is_identity()
 
     def normal_form(self, w: Word):
-        return tuple((s.name, s.bar, s.sign) for s in w)
+        # signed codes, 1-based over the alphabet; a letter outside it gets
+        # the next code on first sight
+        codes = self._codes
+        return tuple([codes.setdefault((s.name, s.bar), len(codes) + 1) * s.sign
+                      for s in w])
 
     def right_multiplier(self, w: Word):
-        # both keys are reduced: only letters at the junction can cancel
         b = self.normal_form(w)
-        cancels = tuple((name, bar, -sign) for name, bar, sign in b)
-
-        def times(a: tuple) -> tuple:
-            i, n, k = len(a), min(len(a), len(b)), 0
-            while k < n and a[i - 1 - k] == cancels[k]:
-                k += 1
-            return a[:i - k] + b[k:]
-        return times
+        return lambda a: _mul(a, b)
 
 
 class FreeAbelianOracle(WPOracle):

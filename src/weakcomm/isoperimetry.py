@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import neg
 from typing import Callable, Sequence
 
 from .enumerator import signed_letters
@@ -56,14 +58,14 @@ class AreaCertificate:
         letters: dict[int, GenSymbol] = {}
 
         def encode(w: Word) -> tuple[int, ...]:
-            out = []
-            for s in w:
+            out: list[int] = []
+            for s, run in groupby(w.letters):   # one code lookup per run
                 c = codes.get((s.name, s.bar))
                 if c is None:
                     c = codes[(s.name, s.bar)] = len(codes) + 1
                     g = s if s.sign > 0 else s.inverse()
                     letters[c], letters[-c] = g, g.inverse()
-                out.append(c * s.sign)
+                out += [c * s.sign] * sum(1 for _ in run)
             return tuple(out)
 
         relators = [encode(r) for r in pres.relators]
@@ -169,6 +171,8 @@ def _abelian_feasible(pres: Presentation, w: Word, max_area: int) -> bool:
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product of two reduced signed-integer words: cancel at the junction."""
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
     i, n, k = len(a), min(len(a), len(b)), 0
     while k < n and a[i - 1 - k] == -b[k]:
         k += 1
@@ -176,7 +180,7 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-c for c in reversed(a))
+    return tuple(map(neg, reversed(a)))
 
 
 def minimal_area_search(pres: Presentation, w: Word, max_area: int,

@@ -16,16 +16,18 @@ closed once, from Schreier generators, without enumerating the group, and
 gives the group's order by orbit-stabilizer.
 
 Engel verification is a forall-forall property, so it is exhaustive over
-ordered pairs (never sampled); the inner loop is vectorized with numpy and
-the outer loop runs over conjugacy-class representatives b of the second
-argument, which is sound because Engel words transform equivariantly under
-simultaneous conjugation.  Since [x, b] = (b^x)^-1 b, the first step for b
-is the rows {c^-1 b : c in the class of b}, so it covers each element of
-the group once over all classes, not once per class.  Engel words of
-group elements are group elements, and two group elements that agree on a
-base (points fixed pointwise only by the identity) are equal, so the scan
-deduplicates its rows and tests them for the identity on the base columns
-alone; a regular group's base is a single point.
+ordered pairs (never sampled); the outer loop runs over conjugacy-class
+representatives b of the second argument, which is sound because Engel
+words transform equivariantly under simultaneous conjugation.  Since
+[x, b] = (b^x)^-1 b, the first step for b is the rows {c^-1 b : c in the
+class of b}, so it covers each element of the group once over all classes,
+not once per class.  Engel words of group elements are group elements, and
+two group elements that agree on a base (points fixed pointwise only by the
+identity) are equal, so the scan keeps each row as its base images alone:
+it deduplicates rows and tests them for the identity on those, and reads
+the next row's base images off the element they name, composing no
+permutation.  Conjugacy classes are found the same way.  A regular group's
+base is a single point.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import math
 import operator
 from itertools import combinations
 from typing import Callable, Collection, Iterable, Sequence
-
-import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
 
@@ -338,22 +338,26 @@ class PermGroup:
 
     # -- Engel checks ----------------------------------------------------------
 
-    def conjugacy_classes(self) -> list[list[Perm]]:
-        """The conjugacy classes as orbits, each led by its representative."""
-        seen: set[Perm] = set()
+    def _conjugacy_classes(self, named: dict[tuple[int, ...], tuple[int, ...]],
+                           base: Sequence[int]) -> list[list[tuple[int, ...]]]:
+        """The conjugacy classes as orbits of image tuples, each led by its
+        representative.  ``named`` maps base images to elements, so each
+        conjugate g^-1 y g is read off y on the base and looked up, never
+        composed."""
+        conjugators = [(g.img, g.inverse().img) for g in self.generators]
+        seen: set[tuple[int, ...]] = set()
         classes = []
-        conjugators = [(g.inverse(), g) for g in self.generators]
-        for x in self.elements():
-            if x in seen:
+        for key, x in named.items():
+            if key in seen:
                 continue
-            seen.add(x)
+            seen.add(key)
             orbit = [x]
             for y in orbit:
-                for g_inv, g in conjugators:
-                    z = g_inv * y * g
+                for g, g_inv in conjugators:
+                    z = tuple([g[y[g_inv[p]]] for p in base])
                     if z not in seen:
                         seen.add(z)
-                        orbit.append(z)
+                        orbit.append(named[z])
             classes.append(orbit)
         return classes
 
@@ -376,56 +380,50 @@ class PermGroup:
             raise SizeGuardError(self.order(), limit, what="Engel check")
         if self.order() == 1:
             return 1
-        classes = self.conjugacy_classes()
-        rows = np.array([c.img for cls in classes for c in cls], dtype=np.int64)
-        base = _base_of_rows(rows)
-        identity = np.array(base, dtype=np.int64)
+        elements = [p.img for p in self.elements()]
+        base = _base_of_rows(elements)
+        # equal base images mean equal elements: a row is kept as its base
+        # images, deduplicated, and tested for the identity on them alone
+        named = {tuple([e[p] for p in base]): e for e in elements}
+        identity = tuple(base)
         worst = 1
-        for block in np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1]):
-            barr = block[0]             # the class representative b
-            binv = np.argsort(barr)
+        for cls in self._conjugacy_classes(named, base):
+            b = cls[0]                  # the class representative
+            b_inv = Perm(b).inverse().img
             # [x, b] = (b^x)^-1 b, and b^x runs over b's class as x runs
-            # over the group: one first-step row c^-1 b per class member c
-            gamma = barr[np.argsort(block, axis=1)]
+            # over the group: one first-step row c^-1 b per class member c,
+            # which sends p to b[c^-1(p)], and c^-1(p) = c.index(p)
+            rows = {tuple([b[c.index(p)] for p in base]) for c in cls}
             k = 1
             while True:
-                # equal base images mean equal elements, so dedupe and
-                # test for the identity on the base columns alone
-                images, keep = np.unique(gamma[:, base], axis=0, return_index=True)
-                live = ~(images == identity).all(axis=1)
-                gamma = gamma[keep[live]]
-                if gamma.shape[0] == 0:
+                rows.discard(identity)
+                if not rows:
                     break
                 if k >= cap:
                     return None
-                gamma = self._engel_step(gamma, barr, binv)
+                # x -> [x, b] = x^-1 b^-1 x b, composed left to right on
+                # the base points alone
+                rows = {tuple([b[x[b_inv[x.index(p)]]] for p in base])
+                        for x in map(named.__getitem__, rows)}
                 k += 1
             worst = max(worst, k)
         return worst
 
-    @staticmethod
-    def _engel_step(stack: np.ndarray, barr: np.ndarray, binv: np.ndarray) -> np.ndarray:
-        # rows x -> [x, b] = x^-1 b^-1 x b, composed left to right
-        inv = np.argsort(stack, axis=1)
-        t = binv[inv]
-        t = np.take_along_axis(stack, t, axis=1)
-        return barr[t]
 
-
-def _base_of_rows(rows: np.ndarray) -> list[int]:
-    """A base of the group whose elements are the rows of an image matrix.
+def _base_of_rows(rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """A base of the group whose elements are the given image tuples.
 
     Walks the points in order and keeps a point when some element fixing the
     kept points moves it; only the identity fixes the result pointwise.
     """
     base: list[int] = []
-    for pt in range(rows.shape[1]):
-        if rows.shape[0] == 1:
+    for pt in range(len(rows[0])):
+        if len(rows) == 1:
             break
-        fixes = rows[:, pt] == pt
-        if not fixes.all():
+        fixing = [r for r in rows if r[pt] == pt]
+        if len(fixing) < len(rows):
             base.append(pt)
-            rows = rows[fixes]
+            rows = fixing
     return base
 
 

@@ -16,6 +16,8 @@ import math
 import re
 from itertools import combinations
 
+import pytest
+
 from weakcomm.decision import WPOracle
 from weakcomm.enumerator import CosetTable, _Enumeration
 from weakcomm.errors import ArgumentError, ParseError, SizeGuardError
@@ -658,3 +660,60 @@ def enumerated_submodule(module, seeds, guard: int = 100_000) -> tuple[int, int]
     for v in span.values():
         exponent = math.lcm(exponent, module.element_order(v))
     return len(span), exponent
+
+
+# PermGroup._engel_scan as it was on numpy image matrices, with the
+# conjugacy classes it read, found by composing permutations
+def numpy_engel_class(group: PermGroup, cap: int) -> int | None:
+    """Least n <= cap making the group n-Engel, or None when the cap is hit:
+    per class representative b, the rows c^-1 b over b's class are stepped
+    by x -> [x, b] as one int64 matrix, deduplicated on the base columns,
+    until every row is the identity there.  Skips the calling test when
+    numpy is not installed."""
+    np = pytest.importorskip("numpy")
+    if group.order() == 1:
+        return 1
+    seen: set[Perm] = set()
+    classes = []
+    for x in group.elements():
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for g in group.generators:
+                z = g.inverse() * y * g
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        classes.append(orbit)
+    rows = np.array([c.img for cls in classes for c in cls], dtype=np.int64)
+    base, fixing = [], rows
+    for pt in range(rows.shape[1]):
+        if fixing.shape[0] == 1:
+            break
+        fixes = fixing[:, pt] == pt
+        if not fixes.all():
+            base.append(pt)
+            fixing = fixing[fixes]
+    identity = np.array(base, dtype=np.int64)
+    worst = 1
+    for block in np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1]):
+        barr = block[0]
+        binv = np.argsort(barr)
+        gamma = barr[np.argsort(block, axis=1)]
+        k = 1
+        while True:
+            images, keep = np.unique(gamma[:, base], axis=0, return_index=True)
+            live = ~(images == identity).all(axis=1)
+            gamma = gamma[keep[live]]
+            if gamma.shape[0] == 0:
+                break
+            if k >= cap:
+                return None
+            # rows x -> [x, b] = x^-1 b^-1 x b, composed left to right
+            t = np.take_along_axis(gamma, binv[np.argsort(gamma, axis=1)], axis=1)
+            gamma = barr[t]
+            k += 1
+        worst = max(worst, k)
+    return worst

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +139,23 @@ def test_engel_command(capsys):
     assert main(["engel", "-p", "< a,b | a^4, b^2*a^-2, b^-1*a*b*a >"]) == 0
     out = capsys.readouterr().out
     assert "n=2 d=2" in out and "verdict=True" in out
+
+
+def test_engel_command_runs_without_numpy():
+    """numpy is no runtime dependency: a fresh interpreter runs a command
+    whose Engel scan is the heaviest group work and never imports it."""
+    q8 = "< a, b | a^4, b^2*a^-2, b^-1*a*b*a >"
+    code = ("import sys\n"
+            "from weakcomm.cli import main\n"
+            f"assert main(['engel', '-p', {q8!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "verdict=True" in done.stdout
 
 
 def test_modules_command(capsys):

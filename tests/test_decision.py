@@ -41,6 +41,11 @@ def test_free_group_oracle():
     assert not o.is_trivial(parse_word("[a,b]"))
     assert o.normal_form(parse_word("a*b")) == o.normal_form(parse_word("a*b*b^-1*b"))
     assert o.normal_form(parse_word("a*b")) != o.normal_form(parse_word("b*a"))
+    # a letter outside the alphabet keeps its own code
+    assert o.normal_form(parse_word("c*b*b^-1")) == o.normal_form(parse_word("c"))
+    assert o.normal_form(parse_word("c")) not in (
+        o.normal_form(parse_word("c^-1")), o.normal_form(parse_word("a")),
+        o.normal_form(parse_word("b")))
 
 
 def test_xg_word_problem_examples():

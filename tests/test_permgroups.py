@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,13 +10,14 @@ from weakcomm.permgroups import (GroupHom, Perm, PermGroup, abelian_invariants,
                                  quotient_realization, _base_of_rows,
                                  _chain_order)
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
+from weakcomm.sidki import build
 
-from .oracles import (bfs_closure, closure, pcompose, pinverse,
-                      quaternion_group, s3_generators, word_kernel)
+from .oracles import (bfs_closure, closure, numpy_engel_class, pcompose,
+                      pinverse, quaternion_group, s3_generators, word_kernel)
 
 
 def element_matrix(group):
-    return np.array([p.img for p in group.elements()], dtype=np.int64)
+    return [p.img for p in group.elements()]
 
 
 def s3_regular():
@@ -289,6 +289,27 @@ def test_engel_scan_matches_brute_force_on_suite_doubles(realizations, name):
     x = realizations[name].X
     gens = [g.img for g in x.generators]
     assert x.minimal_engel_class(cap=4) == brute_engel_class(gens, cap=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)))
+def test_engel_scan_matches_the_numpy_scan_on_random_groups(gens):
+    group = PermGroup(len(gens[0]), [Perm(g) for g in gens])
+    assert group.minimal_engel_class(cap=3) == numpy_engel_class(group, cap=3)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C2xC2", "C4", "S3", "D4", "Q8"])
+def test_engel_scan_matches_the_numpy_scan_on_suite_doubles(realizations, name):
+    x = realizations[name].X
+    assert x.minimal_engel_class(cap=4) == numpy_engel_class(x, cap=4)
+
+
+def test_engel_scan_matches_the_numpy_scan_on_the_double_of_d8():
+    x = build(parse_presentation("< r, s | r^8, s^2, (r*s)^2 >")).X
+    assert x.order() == 2048
+    assert x.minimal_engel_class(cap=5) == numpy_engel_class(x, cap=5) == 4
+    assert x.minimal_engel_class(cap=3) is numpy_engel_class(x, cap=3) is None
 
 
 @pytest.mark.parametrize("gens", [
