@@ -4,7 +4,8 @@ Every command reads a presentation (inline via -p or from a file), runs one
 pipeline, prints a human summary to stdout, and can write a versioned JSON
 report.  Exit codes: 0 all asserted checks pass; 1 a mathematical assertion
 failed (witness in the report); 2 budget or guard exhausted, including a
-group that is infinite because its free rank is positive; 3 usage error,
+group that is infinite because its free rank is positive and an input that
+runs out of memory (``budget exhausted: out of memory``); 3 usage error,
 including an unknown flag or one the command does not read, a flag value of
 the wrong type, a file that cannot be read, decoded or written, malformed JSON
 in ``--config`` or a ``--check`` certificate, a config value of the wrong
@@ -400,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (EnumerationOverflow, SizeGuardError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("budget exhausted: out of memory", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from .enumerator import CosetTable, enumerate_cosets, signed_letters
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
 from .isoperimetry import _mul, minimal_area_search
 from .permgroups import Perm, evaluate
-from .presentations import Presentation, require_finite
+from .presentations import Presentation, require_finite, require_unbarred
 from .words import GenSymbol, Word, commutator, rho_word
 
 
@@ -178,10 +178,8 @@ class WPSetup:
     alphabet_set: set = field(init=False, default_factory=set)
 
     def __post_init__(self):
+        require_unbarred(self.base)
         base_names = {(g.name, g.bar) for g in self.base.generators}
-        for g in self.base.generators:
-            if g.bar:
-                raise ArgumentError("base presentation must be unbarred")
         want = base_names | {(n, True) for n, _ in base_names}
         have = {(g.name, g.bar) for g in self.double.generators}
         if want != have:

@@ -3,11 +3,12 @@
 Composition is left-to-right: ``(p * q)`` means "apply p, then q", so the
 image of a word under a homomorphism is the product of the letter images in
 reading order.  Element-based operations (subgroup lattice, series, Engel
-checks) enumerate the group and refuse to run past a configurable guard;
-order alone falls back to a stabilizer chain, so it also works for groups
-well beyond the guard.  Subgroups are closed by coset extension (Dimino's
-method): a kept generator y grows the closed set H by its right cosets
-H y, H y s, ..., so each element is made once.  ``subgroup``,
+checks) enumerate the group and refuse to run past a configurable guard.
+An order is given when the group is made, read off
+``pointwise_stabilizer``, or else counted from the elements, so past the
+guard it too raises ``SizeGuardError``.  Subgroups are closed by coset
+extension (Dimino's method): a kept generator y grows the closed set H by
+its right cosets H y, H y s, ..., so each element is made once.  ``subgroup``,
 ``from_elements``, ``normal_closure``, ``pointwise_stabilizer``,
 ``intersection`` and ``center`` return their group with the member set its
 span made, and never enumerate it again; only a group made from generators
@@ -190,11 +191,7 @@ class PermGroup:
     def order(self) -> int:
         if self._order is not None:
             return self._order
-        try:
-            return len(self.elements())
-        except SizeGuardError:
-            self._order = _chain_order(self.generators, self.degree)
-            return self._order
+        return len(self.elements())
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements()
@@ -427,7 +424,7 @@ def _base_of_rows(rows: Sequence[tuple[int, ...]]) -> list[int]:
     return base
 
 
-# -- stabilizer chain ---------------------------------------------------------
+# -- Schreier generators -------------------------------------------------------
 
 def _schreier_generators(gens: Sequence[Perm], point: int, degree: int
                          ) -> tuple[dict[int, Perm], list[Perm]]:
@@ -447,41 +444,6 @@ def _schreier_generators(gens: Sequence[Perm], point: int, degree: int
     inverses = {b: t.inverse() for b, t in transversal.items()}
     return transversal, [ta * g * inverses[g.img[a]]
                          for a, ta in transversal.items() for g in gens]
-
-
-def _chain_order(gens: Sequence[Perm], degree: int) -> int:
-    chain = _stabilizer_chain([g for g in gens if not g.is_identity()], degree)
-    n = 1
-    for _, transversal in chain:
-        n *= len(transversal)
-    return n
-
-
-def _sift(chain, g: Perm) -> Perm:
-    for pt, transversal in chain:
-        t = transversal.get(g.img[pt])
-        if t is None:
-            return g
-        g = g * t.inverse()
-    return g
-
-
-def _stabilizer_chain(gens: list[Perm], degree: int):
-    """Deterministic Schreier-Sims; each accepted Schreier generator strictly
-    grows the stabilizer, so only log-many rebuilds happen per level."""
-    if not gens:
-        return []
-    pt = min(i for g in gens for i in range(degree) if g.img[i] != i)
-    transversal, schreier = _schreier_generators(gens, pt, degree)
-    stab_gens: list[Perm] = []
-    subchain = []
-    for sg in schreier:
-        if sg.is_identity():
-            continue
-        if not _sift(subchain, sg).is_identity():
-            stab_gens.append(sg)
-            subchain = _stabilizer_chain(stab_gens, degree)
-    return [(pt, transversal)] + subchain
 
 
 # -- homomorphisms -------------------------------------------------------------

@@ -35,7 +35,7 @@ from .intlinalg import FinAbGroup
 from .permgroups import (GroupHom, Perm, PermGroup, block_perm, commutator,
                          evaluate, quotient_realization)
 from .presentations import (Presentation, double_presentation, element_witnesses,
-                            require_finite)
+                            require_finite, require_unbarred)
 from .words import GenSymbol, Word, bar_word, pi_word
 from . import zqmodules
 
@@ -89,11 +89,18 @@ class XRealization:
         }
 
 
-def _rho_images(G: PermGroup) -> list[Perm]:
-    """rho on the generators of the double: g -> (g, g, 1), barg -> (1, g, g)."""
+def _im_rho(G: PermGroup) -> PermGroup:
+    """The image of rho, on the images of the double's generators in order:
+    g -> (g, g, 1), barg -> (1, g, g).  Its order is read off the stabilizer
+    of the first points of blocks 0 and 1 (orbit-stabilizer), not counted;
+    its guard is |G|^3, the largest order it can have."""
     one = Perm.identity(G.degree)
-    return [block_perm([p, p, one]) for p in G.generators] + \
-           [block_perm([one, p, p]) for p in G.generators]
+    im_rho = PermGroup(3 * G.degree,
+                       [block_perm([p, p, one]) for p in G.generators] +
+                       [block_perm([one, p, p]) for p in G.generators],
+                       guard=G.order() ** 3)
+    im_rho.pointwise_stabilizer([0, G.degree])
+    return im_rho
 
 
 def _split_copy(pres: Presentation, max_cosets: int, guard: int
@@ -129,18 +136,18 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     generators.  SizeGuardError, before any enumeration, when the base has
     positive free rank.
     """
-    if any(g.bar for g in pres.generators):
-        raise ArgumentError("base presentation must not contain barred generators")
+    require_unbarred(pres)  # before enumerating the base
     Q, base_table, G, double, table = _split_copy(pres, max_cosets, guard)
     G_words = base_table.coset_words()
     G_elements = [base_table.word_image(pres, w) for w in G_words]
     index = table.n_cosets
-    rho_images = _rho_images(G)
     gdeg = G.degree
     if index * G.order() > guard:
         raise SizeGuardError(f"> {guard}", guard)
+    im_rho = _im_rho(G)
     X = PermGroup(index + 3 * gdeg,
-                  [block_perm([c, r]) for c, r in zip(table.action, rho_images)],
+                  [block_perm([c, r])
+                   for c, r in zip(table.action, im_rho.generators)],
                   guard=guard)
     # G is regular, so x is trivial in rho-coordinate k iff x fixes the
     # first point of that block: pi is coordinate 1, pi x pibar are 0 and 2.
@@ -159,9 +166,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     # rho: X -> G x G x G sends g -> (g, g, 1) and barg -> (1, g, g); each is
     # well defined when the double's relators map to the identity
     GroupHom(X, G, list(G.generators) + list(G.generators), relators=signed_relators)
-    im_rho = PermGroup(3 * gdeg, rho_images, guard=max(guard, G.order() ** 3 + 1))
-    im_rho.pointwise_stabilizer([0, gdeg])  # gives its order, not enumerating it
-    GroupHom(X, im_rho, rho_images, relators=signed_relators)
+    GroupHom(X, im_rho, im_rho.generators, relators=signed_relators)
 
     D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 
@@ -405,8 +410,7 @@ def perfect_base_report(pres: Presentation) -> dict:
     index = table.n_cosets                      # = |L|
     x_order = index * G.order()
 
-    im_rho = PermGroup(3 * G.degree, _rho_images(G), guard=2)
-    im_rho_order = im_rho.order()               # stabilizer chain
+    im_rho_order = _im_rho(G).order()
     im_rho_full = im_rho_order == G.order() ** 3
     w_order, rem = divmod(x_order, im_rho_order)
     if rem:

@@ -194,10 +194,6 @@ def reduced_words(alphabet: Sequence[GenSymbol], max_len: int) -> list[Word]:
     return out
 
 
-def gen(name: str, bar: bool = False) -> Word:
-    return Word([GenSymbol(name, bar)])
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u^-1 v^-1 u v."""
     return u.inverse() * v.inverse() * u * v

@@ -94,6 +94,19 @@ def test_budget_exhaustion_exit_code(capsys):
     assert main(["realize", "-p", "< a, b | >", "--max-cosets", "50"]) == 2
 
 
+def test_out_of_memory_is_budget_exhausted(monkeypatch, capsys):
+    """A MemoryError, here injected in place of the parse of a huge exponent,
+    ends in exit 2 with one line on stderr, not a traceback."""
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_presentation", exhausted)
+    assert main(["parse", "-p", "< a | a^99999999999 >"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "budget exhausted: out of memory\n"
+    assert "Traceback" not in captured.out
+
+
 def test_verify_and_json_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

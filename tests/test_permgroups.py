@@ -7,8 +7,7 @@ from weakcomm.enumerator import enumerate_cosets, perm_realization
 from weakcomm.errors import ArgumentError, SizeGuardError
 from weakcomm.permgroups import (GroupHom, Perm, PermGroup, abelian_invariants,
                                  block_perm, commutator, evaluate,
-                                 quotient_realization, _base_of_rows,
-                                 _chain_order)
+                                 quotient_realization, _base_of_rows)
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 from weakcomm.sidki import build
 
@@ -363,15 +362,19 @@ def test_abelian_invariants():
         abelian_invariants(s3_regular())
 
 
-def test_stabilizer_chain_orders():
-    assert _chain_order([Perm(p) for p in s3_generators()], 3) == 6
-    a5_gens = [Perm([1, 2, 3, 4, 0]), Perm([1, 2, 0, 3, 4])]
-    assert _chain_order(a5_gens, 5) == 60
-    # force the chain path through a tiny guard
-    g = PermGroup(5, a5_gens, guard=2)
-    assert g.order() == 60
-    s5 = PermGroup(5, [Perm([1, 2, 3, 4, 0]), Perm([1, 0, 2, 3, 4])], guard=2)
-    assert s5.order() == 120
+def test_order_past_the_guard_is_read_off_a_stabilizer():
+    """An order is counted from the elements within the guard; past it,
+    order() raises until pointwise_stabilizer reads the order off by
+    orbit-stabilizer."""
+    assert PermGroup(3, [Perm(p) for p in s3_generators()]).order() == 6
+    cycle = Perm([1, 2, 3, 4, 0])
+    for other, guard, order in ((Perm([1, 2, 0, 3, 4]), 12, 60),    # A5
+                                (Perm([1, 0, 2, 3, 4]), 24, 120)):  # S5
+        group = PermGroup(5, [cycle, other], guard=guard)
+        with pytest.raises(SizeGuardError):
+            group.order()
+        assert group.pointwise_stabilizer([0]).order() == guard
+        assert group.order() == order
 
 
 def test_block_perm_and_evaluate():

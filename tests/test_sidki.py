@@ -58,12 +58,35 @@ def test_image_of_rho_is_the_constraint_subgroup(realizations, name):
     assert {p.img for p in x.im_rho.elements()} == expected
 
 
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + ["A4", "SL23", "S4", "A5"])
+def test_im_rho_order_is_read_off_a_stabilizer(monkeypatch, name):
+    """|im rho| = |G|^2 |G'|, with G' closed by brute force, and _im_rho
+    knows it without enumerating im rho (216 000 elements for A5)."""
+    text = {**SUITE_TEXT, **EXTRA_TEXT, **LARGER_TEXT,
+            "SL23": "< a, b | a^3*b^-3, a^3*(a*b)^-2 >",
+            "A5": "< a, b | a^2, b^3, (a*b)^5 >"}[name]
+    G = enumerator.perm_realization(
+        enumerator.enumerate_cosets(parse_presentation(text), []))
+    elems = oracles.closure([g.img for g in G.generators])
+    derived = oracles.closure([commutator(Perm(a), Perm(b)).img
+                               for a in elems for b in elems])
+    expected = len(elems) ** 2 * len(derived)
+
+    def refuse(group, guard=None):
+        raise AssertionError("im rho enumerated")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    assert sidki._im_rho(G).order() == expected
+    if name == "A5":
+        assert expected == 216_000
+
+
 def _homs(X, G, double):
     """pi, pi x pibar and rho on X, each checked on the double's relators."""
     relators = [enumerator.signed_letters(double, r) for r in double.relators]
     gens, one = list(G.generators), Perm.identity(G.degree)
     two = [block_perm([p, one]) for p in gens] + [block_perm([one, p]) for p in gens]
-    rho_images = sidki._rho_images(G)
+    rho_images = sidki._im_rho(G).generators
     return (GroupHom(X, G, gens + gens, relators=relators),
             GroupHom(X, PermGroup(2 * G.degree, two), two, relators=relators),
             GroupHom(X, PermGroup(3 * G.degree, rho_images), rho_images,

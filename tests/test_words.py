@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from weakcomm import words as words_module
 from weakcomm.errors import AlphabetError, ArgumentError, ParseError
 from weakcomm.words import (GenSymbol, Word, bar_word, commutator, engel_word,
-                            format_word, free_reduce, gen, left_normed,
-                            parse_word, pi_word, pibar_word, reduced_words,
-                            rho_word)
+                            format_word, free_reduce, left_normed, parse_word,
+                            pi_word, pibar_word, reduced_words, rho_word)
 
 from .oracles import lazy_parse_word, run_format_word
 
@@ -16,6 +15,12 @@ A, B = GenSymbol("a"), GenSymbol("b")
 ABAR = GenSymbol("a", bar=True)
 ALPHABET = (A, B, ABAR, GenSymbol("b", bar=True))
 L_A = Word([A.inverse(), ABAR])     # the letter difference l_a = a^-1 a~
+
+
+def gen(name: str, bar: bool = False) -> Word:
+    """The one-letter word on a generator."""
+    return Word([GenSymbol(name, bar)])
+
 
 symbols = st.sampled_from([GenSymbol(n, b, s) for n in "ab"
                            for b in (False, True) for s in (1, -1)])
