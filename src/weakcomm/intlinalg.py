@@ -1,7 +1,12 @@
 """Exact integer linear algebra: Smith normal form and f.g. abelian groups.
 
-Everything here uses unbounded Python integers; matrices are small (relation
-matrices of desk-scale groups), so no fast path is attempted.  Conventions:
+Everything here uses unbounded Python integers.  Relation matrices are wide
+(S4's augmentation module has 23 generators and 384 relations), so a column
+Hermite pass first cuts the relation lattice down to a basis of at most
+``rows`` vectors, and the Smith form runs on that basis, which keeps the
+entries small: eliminating on a full 9 x 11 matrix can grow them to tens of
+thousands of bits (Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, section 2.4).  Conventions:
 
 * ``IntMatrix`` is a dense rows x cols array of exact integers.
 * ``cokernel(M)`` is Z^rows / (column span of M), i.e. the cokernel of the
@@ -57,9 +62,6 @@ class IntMatrix:
                 m.data[i][j] = int(v)
         return m
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], self.rows, self.cols)
-
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -92,132 +94,102 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U m V = D diagonal satisfying d1 | d2 | ...
+def hermite_basis(columns: Iterable[Sequence[int]], rows: int) -> list[list[int]]:
+    """A basis of the lattice spanned by the columns, vectors of length rows:
+    at most rows vectors, in echelon form (each is zero above its pivot row,
+    and the pivot rows increase).
 
-    U and V are unimodular.  Pivot rule: smallest nonzero absolute value,
-    ties broken row-major, which keeps the output deterministic.
+    Row by row, the live columns with a nonzero entry there are cleared
+    Euclid-style: the one with the smallest such entry reduces the others,
+    until one is left, which becomes the pivot for that row.  Zero columns
+    are dropped.  Live columns are zero above the current row, so each
+    reduction touches only the rows from there down.
     """
-    a = m.copy()
-    u = IntMatrix.identity(m.rows)
-    v = IntMatrix.identity(m.cols)
-    rows, cols = m.rows, m.cols
+    live = [list(map(int, c)) for c in columns if any(c)]
+    basis = []
+    for i in range(rows):
+        hits = [c for c in live if c[i]]
+        if not hits:
+            continue
+        live = [c for c in live if not c[i]]
+        while len(hits) > 1:
+            p = min(hits, key=lambda c: abs(c[i]))
+            rest = [p]
+            for c in hits:
+                if c is not p:
+                    q = c[i] // p[i]
+                    for k in range(i, rows):
+                        c[k] -= q * p[k]
+                    if c[i]:
+                        rest.append(c)
+                    elif any(c):
+                        live.append(c)
+            hits = rest
+        basis.append(hits[0])
+    return basis
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, list[int]]:
+    """Return (U, d) with U unimodular and U m V = diag(d) for a unimodular V
+    that is not formed: d has m.rows entries, d1 | d2 | ... | dr, then zeros
+    from the rank r on.
+
+    The elimination runs on the ``hermite_basis`` of the columns of m.  Its r
+    columns are independent, so every step finds a pivot: the smallest
+    nonzero absolute value of the remaining block, ties broken row-major,
+    which keeps the output deterministic.  Row operations are tracked in U,
+    column operations are not.  When the cleared pivot fails to divide an
+    entry of the remaining block, that row is added to the pivot row, whose
+    next clearing yields a smaller pivot.
+    """
+    basis = hermite_basis(map(m.column, range(m.cols)), m.rows)
+    n, r = m.rows, len(basis)
+    a = [[c[i] for c in basis] for i in range(n)]
+    u = IntMatrix.identity(n).data
+
+    def add_row(src, dst, c):  # row[dst] += c * row[src], in a and in U
+        for mat in (a, u):
+            mat[dst] = [x + c * y for x, y in zip(mat[dst], mat[src])]
 
     def swap_rows(i, j):
-        if i != j:
-            a.data[i], a.data[j] = a.data[j], a.data[i]
-            u.data[i], u.data[j] = u.data[j], u.data[i]
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in a.data:
-                row[i], row[j] = row[j], row[i]
-            for row in v.data:
-                row[i], row[j] = row[j], row[i]
+    def swap_cols(j):  # with column t; the rows above t are zero there
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
 
-    def add_row(src, dst, c):  # row[dst] += c * row[src]
-        if c:
-            arow, asrc = a.data[dst], a.data[src]
-            for j in range(cols):
-                arow[j] += c * asrc[j]
-            urow, usrc = u.data[dst], u.data[src]
-            for j in range(rows):
-                urow[j] += c * usrc[j]
-
-    def add_col(src, dst, c):  # col[dst] += c * col[src]
-        if c:
-            for row in a.data:
-                row[dst] += c * row[src]
-            for row in v.data:
-                row[dst] += c * row[src]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a.data[i][j]
-                if x and (best is None or abs(x) < abs(a.data[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+    for t in range(r):
+        _, pi, pj = min((abs(x), i, j) for i in range(t, n)
+                        for j, x in enumerate(a[i][t:], t) if x)
+        swap_rows(t, pi)
+        swap_cols(pj)
         while True:
-            # clear column t
-            dirty = False
-            for i in range(rows):
-                if i != t and a.data[i][t]:
-                    q = a.data[i][t] // a.data[t][t]
-                    add_row(t, i, -q)
-                    if a.data[i][t]:
-                        swap_rows(t, i)  # remainder is smaller; continue with it
-                        dirty = True
-            for j in range(cols):
-                if j != t and a.data[t][j]:
-                    q = a.data[t][j] // a.data[t][t]
-                    add_col(t, j, -q)
-                    if a.data[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        t += 1
-
-    # positive diagonal
-    for i in range(min(rows, cols)):
-        if a.data[i][i] < 0:
-            for j in range(cols):
-                a.data[i][j] = -a.data[i][j]
-            for j in range(rows):
-                u.data[i][j] = -u.data[i][j]
-
-    # enforce the divisibility chain
-    n = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            di, dj = a.data[i][i], a.data[i + 1][i + 1]
-            if di and dj % di == 0:
-                continue
-            if di == 0 and dj != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-                continue
-            if dj == 0:
-                continue
-            # standard 2x2 gcd step: put gcd at (i,i), lcm at (i+1,i+1)
-            add_col(i + 1, i, 1)            # col i gets dj in row i+1
-            # now re-clear the 2x2 block
-            while a.data[i + 1][i] or a.data[i][i + 1]:
-                if a.data[i][i] == 0 or (a.data[i + 1][i] and
-                                         abs(a.data[i + 1][i]) < abs(a.data[i][i])):
-                    swap_rows(i, i + 1)
-                if a.data[i + 1][i]:
-                    q = a.data[i + 1][i] // a.data[i][i]
-                    add_row(i, i + 1, -q)
-                    continue
-                if a.data[i][i + 1]:
-                    q = a.data[i][i + 1] // a.data[i][i]
-                    add_col(i, i + 1, -q)
-            if a.data[i][i] < 0:
-                for j in range(cols):
-                    a.data[i][j] = -a.data[i][j]
-                for j in range(rows):
-                    u.data[i][j] = -u.data[i][j]
-            if a.data[i + 1][i + 1] < 0:
-                for j in range(cols):
-                    a.data[i + 1][j] = -a.data[i + 1][j]
-                for j in range(rows):
-                    u.data[i + 1][j] = -u.data[i + 1][j]
-            changed = True
-    return u, a, v
+            clean = True
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        clean = False
+            for j in range(t + 1, r):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        swap_cols(j)
+                        clean = False
+            if clean:
+                p = a[t][t]
+                bad = next((i for i in range(t + 1, n)
+                            if any(x % p for x in a[i][t + 1:])), None)
+                if bad is None:
+                    break
+                add_row(bad, t, 1)
+        if a[t][t] < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+    return IntMatrix(u), [a[i][i] for i in range(r)] + [0] * (n - r)
 
 
 @dataclass(frozen=True)
@@ -272,12 +244,9 @@ class FinAbGroup:
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
-    """Z^rows / (column span of m), from the SNF diagonal."""
-    _, d, _ = smith_normal_form(m)
-    diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-    factors = tuple(x for x in diag if x > 1)
-    free = m.rows - sum(1 for x in diag if x != 0)
-    return FinAbGroup(factors, free)
+    """Z^rows / (column span of m), from the Smith diagonal."""
+    _, d = smith_normal_form(m)
+    return FinAbGroup(tuple(x for x in d if x > 1), d.count(0))
 
 
 def tensor(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:

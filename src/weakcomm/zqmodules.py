@@ -3,11 +3,13 @@
 A ``QModule`` is a relation lattice plus action matrices: the finitely
 generated abelian group Z^n / (relation lattice), on n chosen generators,
 with one integer n x n matrix per acting generator for a right action that
-factors through an abelian group.  The Smith form of the relation matrix is
-taken once, in the constructor: equality, membership and element orders are
-read in its coordinates, and the invariant factors are its diagonal.  The
-order of a submodule comes from one cokernel, of the relations beside the
-orbit of its generators, so no submodule is ever enumerated.
+factors through an abelian group.  The constructor cuts the given relations
+down to a Hermite basis of their lattice, at most n vectors, which it keeps
+as ``relations``, and takes the Smith form of that basis once: equality,
+membership and element orders are read in its coordinates, and the
+invariant factors are its diagonal.  The order of a submodule comes from
+one cokernel, of the basis beside the orbit of its generators, so no
+submodule is ever enumerated.
 
 Builders:
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArgumentError, SizeGuardError, WeakcommError
-from .intlinalg import FinAbGroup, IntMatrix, cokernel, smith_normal_form
+from .intlinalg import FinAbGroup, IntMatrix, cokernel, hermite_basis, smith_normal_form
 from .permgroups import Perm, PermGroup, abelian_invariants, quotient_realization
 
 Vector = tuple[int, ...]
@@ -53,16 +55,14 @@ class QModule:
     def __init__(self, n: int, relations: Sequence[Vector],
                  action_matrices: Sequence[IntMatrix]):
         self.n = n
-        self.relations = [tuple(map(int, r)) for r in relations]
-        for r in self.relations:
-            if len(r) != self.n:
-                raise ArgumentError("relation length mismatch")
+        if any(len(r) != n for r in relations):
+            raise ArgumentError("relation length mismatch")
+        self.relations = [tuple(b) for b in hermite_basis(relations, n)]
         self.action_matrices = list(action_matrices)
-        # U R V = D for the relation matrix R: coordinate i of v is (U v)_i
-        # mod d_i, and the rows with d_i = 1 are dropped, as always 0 there
-        u, d, _ = smith_normal_form(IntMatrix.from_columns(self.relations, self.n))
-        diag = [d.data[i][i] if i < d.cols else 0 for i in range(self.n)]
-        self._coords = [(row, di) for row, di in zip(u.data, diag) if di != 1]
+        # U R V = diag(d) for the relation matrix R: coordinate i of v is
+        # (U v)_i mod d_i, and the rows with d_i = 1 are dropped, as always 0
+        u, d = smith_normal_form(IntMatrix.from_columns(self.relations, n))
+        self._coords = [(row, di) for row, di in zip(u.data, d) if di != 1]
         for a in self.action_matrices:
             if a.rows != self.n or a.cols != self.n:
                 raise ArgumentError("action matrix shape mismatch")

@@ -21,7 +21,7 @@ import pytest
 from weakcomm.decision import WPOracle
 from weakcomm.enumerator import CosetTable, _Enumeration
 from weakcomm.errors import ArgumentError, ParseError, SizeGuardError
-from weakcomm.intlinalg import FinAbGroup
+from weakcomm.intlinalg import FinAbGroup, IntMatrix
 from weakcomm.isoperimetry import AreaCertificate, _abelian_feasible
 from weakcomm.permgroups import GroupHom, Perm, PermGroup, evaluate
 from weakcomm.presentations import Presentation
@@ -337,6 +337,136 @@ def cyclic_tensor_invariants(m: int, n: int) -> tuple[int, ...]:
 
 
 # -- replaced algorithms --------------------------------------------------------
+
+def full_smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U m V = D diagonal satisfying d1 | d2 | ...
+
+    U and V are unimodular.  Pivot rule: smallest nonzero absolute value,
+    ties broken row-major, which keeps the output deterministic.  This is
+    the Smith form as it was before the Hermite pass: it forms V, repairs
+    the divisibility chain in a second pass, and lets entries grow.
+    """
+    a = IntMatrix(m.data, m.rows, m.cols)
+    u = IntMatrix.identity(m.rows)
+    v = IntMatrix.identity(m.cols)
+    rows, cols = m.rows, m.cols
+
+    def swap_rows(i, j):
+        if i != j:
+            a.data[i], a.data[j] = a.data[j], a.data[i]
+            u.data[i], u.data[j] = u.data[j], u.data[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a.data:
+                row[i], row[j] = row[j], row[i]
+            for row in v.data:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):  # row[dst] += c * row[src]
+        if c:
+            arow, asrc = a.data[dst], a.data[src]
+            for j in range(cols):
+                arow[j] += c * asrc[j]
+            urow, usrc = u.data[dst], u.data[src]
+            for j in range(rows):
+                urow[j] += c * usrc[j]
+
+    def add_col(src, dst, c):  # col[dst] += c * col[src]
+        if c:
+            for row in a.data:
+                row[dst] += c * row[src]
+            for row in v.data:
+                row[dst] += c * row[src]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a.data[i][j]
+                if x and (best is None or abs(x) < abs(a.data[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(rows):
+                if i != t and a.data[i][t]:
+                    q = a.data[i][t] // a.data[t][t]
+                    add_row(t, i, -q)
+                    if a.data[i][t]:
+                        swap_rows(t, i)  # remainder is smaller; continue with it
+                        dirty = True
+            for j in range(cols):
+                if j != t and a.data[t][j]:
+                    q = a.data[t][j] // a.data[t][t]
+                    add_col(t, j, -q)
+                    if a.data[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        t += 1
+
+    # positive diagonal
+    for i in range(min(rows, cols)):
+        if a.data[i][i] < 0:
+            for j in range(cols):
+                a.data[i][j] = -a.data[i][j]
+            for j in range(rows):
+                u.data[i][j] = -u.data[i][j]
+
+    # enforce the divisibility chain
+    n = min(rows, cols)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            di, dj = a.data[i][i], a.data[i + 1][i + 1]
+            if di and dj % di == 0:
+                continue
+            if di == 0 and dj != 0:
+                swap_rows(i, i + 1)
+                swap_cols(i, i + 1)
+                changed = True
+                continue
+            if dj == 0:
+                continue
+            # standard 2x2 gcd step: put gcd at (i,i), lcm at (i+1,i+1)
+            add_col(i + 1, i, 1)            # col i gets dj in row i+1
+            # now re-clear the 2x2 block
+            while a.data[i + 1][i] or a.data[i][i + 1]:
+                if a.data[i][i] == 0 or (a.data[i + 1][i] and
+                                         abs(a.data[i + 1][i]) < abs(a.data[i][i])):
+                    swap_rows(i, i + 1)
+                if a.data[i + 1][i]:
+                    q = a.data[i + 1][i] // a.data[i][i]
+                    add_row(i, i + 1, -q)
+                    continue
+                if a.data[i][i + 1]:
+                    q = a.data[i][i + 1] // a.data[i][i]
+                    add_col(i, i + 1, -q)
+            if a.data[i][i] < 0:
+                for j in range(cols):
+                    a.data[i][j] = -a.data[i][j]
+                for j in range(rows):
+                    u.data[i][j] = -u.data[i][j]
+            if a.data[i + 1][i + 1] < 0:
+                for j in range(cols):
+                    a.data[i + 1][j] = -a.data[i + 1][j]
+                for j in range(rows):
+                    u.data[i + 1][j] = -u.data[i + 1][j]
+            changed = True
+    return u, a, v
+
 
 class TwoEndFelsch(_Enumeration):
     """Felsch as it was before each deduction was scanned from one end: the

@@ -162,13 +162,32 @@ def test_engel_command_runs_without_numpy():
             "from weakcomm.cli import main\n"
             f"assert main(['engel', '-p', {q8!r}]) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    done = _fresh_python(code, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "verdict=True" in done.stdout
+
+
+def _fresh_python(code: str, timeout: float) -> subprocess.CompletedProcess:
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_parse_finishes_on_a_dense_relation_matrix():
+    """The 6 x 7 exponent matrix of this presentation once kept the Smith
+    form running for minutes; its abelianization is trivial."""
+    pres = ("< a, b, c, d, e, f | a^-8*b^8*c^-7*d^3*e^-6*f^-2, "
+            "a^6*b^-8*c^-5*d^-4*e^4*f^3, a^3*b^7*c^-7*d^1*e^8*f^8, "
+            "a^2*b^-7*c^5*d^5*e^4*f^-9, a^3*b^-1*c^-2*d^-5*e^-6*f^-3, "
+            "a^7*b^-6*c^3*d^6*f^7, a^-4*b^-1*c^4*d^-3*e^-1*f^5 >")
+    code = ("import sys\n"
+            "from weakcomm.cli import main\n"
+            f"sys.exit(main(['parse', '-p', {pres!r}]))\n")
+    done = _fresh_python(code, timeout=30)
     assert done.returncode == 0, done.stderr
-    assert "verdict=True" in done.stdout
+    assert "abelianization: 0" in done.stdout.splitlines()
 
 
 def test_modules_command(capsys):

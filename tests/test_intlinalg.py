@@ -1,28 +1,69 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakcomm.errors import ArgumentError
-from weakcomm.intlinalg import (FinAbGroup, IntMatrix, cokernel,
+from weakcomm.intlinalg import (FinAbGroup, IntMatrix, cokernel, hermite_basis,
                                 smith_normal_form, tensor)
 
-from .oracles import cyclic_tensor_invariants, det_laplace, direct_sum, minors_gcd
+from .oracles import (cyclic_tensor_invariants, det_laplace, direct_sum,
+                      full_smith_normal_form, minors_gcd)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-6, 6), min_size=c, max_size=c),
             min_size=r, max_size=r)))
+wide_matrices = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 7).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+# cokernels Z/6 x Z/60 x Z and 0: a Smith form run on the full matrix,
+# without the Hermite pass, took seconds on the first and ran past two
+# minutes on the second
+SLOW_9X11 = [[0, -12, 24, 0, 0, 17, 0, 0, -25, 0, 0],
+             [3, -7, 0, 0, -11, 0, 0, 0, 0, 0, 0],
+             [0, 0, 0, 0, 0, 0, 0, 30, 0, 0, 0],
+             [0] * 11,
+             [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -11],
+             [-9, 0, 0, 0, 8, 0, 0, 0, 0, -2, 0],
+             [10, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0],
+             [0, 0, 0, 0, 27, 0, 0, 0, -17, 0, 0],
+             [30, -12, 0, 9, 0, 0, 0, 0, -9, 0, 0]]
+SLOW_6X7 = [[-8, 6, 3, 2, 3, 7, -4], [8, -8, 7, -7, -1, -6, -1],
+            [-7, -5, -7, 5, -2, 3, 4], [3, -4, 1, 5, -5, 6, -3],
+            [-6, 4, 8, 4, -6, 0, -1], [-2, 3, 8, -9, -3, 7, 5]]
+
+
+def assert_smith_form(rows):
+    """U is unimodular, d is a divisibility chain, every column of U m lies
+    in the sum of the d_i Z (zero where d_i = 0), and the product of the
+    first k entries of d is the gcd of the k x k minors of m.  Together
+    these say U m V = diag(d) for some unimodular V."""
+    m = IntMatrix(rows)
+    u, d = smith_normal_form(m)
+    assert abs(det_laplace(u.data)) == 1
+    assert len(d) == m.rows
+    for a, b in zip(d, d[1:]):
+        assert b % a == 0 if a else b == 0
+    for row, di in zip((u @ m).data, d):
+        assert all(x % di == 0 if di else x == 0 for x in row)
+    prod = 1
+    for k, dk in enumerate(d, start=1):
+        prod *= dk
+        assert prod == minors_gcd(rows, k)
+    return u, d
 
 
 def test_snf_identity_and_zero():
-    ident = IntMatrix.identity(3)
-    _, d, _ = smith_normal_form(ident)
-    assert d == ident
-    zero = IntMatrix.zero(2, 3)
-    _, d, _ = smith_normal_form(zero)
-    assert d == zero
+    assert assert_smith_form(IntMatrix.identity(3).data)[1] == [1, 1, 1]
+    u, d = assert_smith_form(IntMatrix.zero(2, 3).data)
+    assert u == IntMatrix.identity(2) and d == [0, 0]
 
 
 def test_snf_worked_example():
@@ -30,31 +71,57 @@ def test_snf_worked_example():
     m = [[2, 4], [6, 8]]
     assert minors_gcd(m, 1) == 2
     assert minors_gcd(m, 2) == 8
-    u, d, v = smith_normal_form(IntMatrix(m))
-    assert [d.data[0][0], d.data[1][1]] == [2, 4]
-    assert (u @ IntMatrix(m) @ v) == d
-    assert abs(det_laplace(u.data)) == 1 and abs(det_laplace(v.data)) == 1
+    assert assert_smith_form(m)[1] == [2, 4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_matrices)
+def test_snf_invariants_random(rows):
+    assert_smith_form(rows)
 
 
 @settings(max_examples=150)
 @given(small_matrices)
-def test_snf_invariants_random(rows):
+def test_snf_diagonal_matches_the_full_smith_form(rows):
     m = IntMatrix(rows)
-    u, d, v = smith_normal_form(m)
-    assert (u @ m @ v) == d
-    assert abs(det_laplace(u.data)) == 1 and abs(det_laplace(v.data)) == 1
-    diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j:
-                assert d.data[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
-    # product of the first k diagonal entries = gcd of k x k minors
-    prod = 1
-    for k, dk in enumerate(diag, start=1):
-        prod *= dk
-        assert prod == minors_gcd(rows, k)
+    _, d = smith_normal_form(m)
+    _, full, _ = full_smith_normal_form(m)
+    diag = [full.data[i][i] for i in range(min(m.rows, m.cols))]
+    assert d == diag + [0] * (m.rows - len(diag))
+
+
+@pytest.mark.parametrize("rows,group", [(SLOW_9X11, FinAbGroup((6, 60), 1)),
+                                        (SLOW_6X7, FinAbGroup())])
+def test_snf_stays_fast_and_small_on_slow_matrices(rows, group):
+    start = time.perf_counter()
+    u, _ = smith_normal_form(IntMatrix(rows))
+    assert time.perf_counter() - start < 1
+    assert max(abs(x) for row in u.data for x in row).bit_length() < 64
+    assert_smith_form(rows)
+    assert cokernel(IntMatrix(rows)) == group
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_matrices)
+def test_hermite_basis_is_an_echelon_basis_of_the_column_lattice(rows):
+    m = IntMatrix(rows)
+    basis = hermite_basis(map(m.column, range(m.cols)), m.rows)
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    # every column of m is an integer combination of the basis ...
+    for j in range(m.cols):
+        c = m.column(j)
+        for b, p in zip(basis, pivots):
+            q, rem = divmod(c[p], b[p])
+            assert rem == 0
+            c = [x - q * y for x, y in zip(c, b)]
+        assert not any(c)
+    # ... and the basis spans no more: same rank, same gcd of maximal minors
+    r = len(basis)
+    assert minors_gcd(rows, r + 1) == 0
+    if r:
+        assert minors_gcd(IntMatrix.from_columns(basis, m.rows).data, r) == \
+            minors_gcd(rows, r)
 
 
 @settings(max_examples=60)
@@ -63,7 +130,7 @@ def test_cokernel_invariant_under_unimodular_moves(rows, rnd):
     m = IntMatrix(rows)
     before = cokernel(m)
     # random elementary row and column operations
-    a = m.copy()
+    a = IntMatrix([row[:] for row in m.data])
     for _ in range(6):
         i, j = rnd.randrange(a.rows), rnd.randrange(a.rows)
         c = rnd.randrange(-2, 3)
