@@ -224,7 +224,18 @@ PINNED_DIGESTS = {
         "6fe6ed47e1b7bc7a1060ad3ea5c7443b6b28d3d77f545cb76ab3763cd4b4b73e",
     ("X(A5) split", "hlt"):
         "79641f7a1c3aee1dca9bf431f7b22f0aca42fe2665b38735409f63ec59cc5a83",
+    # the tables above, enumerated at the tightest budget that closes
+    ("X(S3) lookahead", "hlt"):
+        "49a8430c5b974eb4dd0cfd2f63be4d965ad22aa1b3ca45553f60b386a9d9b680",
+    ("X(A4) lookahead", "hlt"):
+        "ed393a1f340eae9a439dd7f933b7ef6a186dde4561e5e45f99ba3139b8eb4cff",
+    ("X(D4) lookahead", "hlt"):
+        "e7e2f4f87d584e585eb5ef9c5ae367eb118c4b73831bfa6847144328bbc53d1a",
 }
+
+# HLT overflows at one coset less, and closes here only after lookahead passes
+LOOKAHEAD_BUDGETS = {"X(S3) lookahead": 112, "X(A4) lookahead": 1200,
+                     "X(D4) lookahead": 263}
 
 
 @pytest.mark.parametrize("name, strategy", list(PINNED_DIGESTS))
@@ -232,10 +243,22 @@ def test_table_bytes_are_pinned(monkeypatch, name, strategy):
     from weakcomm import enumerator
     if name.endswith("compacting"):
         monkeypatch.setattr(enumerator, "COMPACT_THRESHOLD", 1)
+    compactions = []
+    compact = enumerator._Enumeration.compact
+
+    def recording(self, pointer):
+        compactions.append(pointer)
+        return compact(self, pointer)
+
+    monkeypatch.setattr(enumerator._Enumeration, "compact", recording)
     pres, subgens = _pinned_input(name)
-    t = enumerate_cosets(pres, subgens, max_cosets=200_000, strategy=strategy)
+    t = enumerate_cosets(pres, subgens, max_cosets=LOOKAHEAD_BUDGETS.get(name, 200_000),
+                         strategy=strategy)
     digest = hashlib.sha256(t.to_json().encode("utf-8")).hexdigest()
     assert digest == PINNED_DIGESTS[name, strategy]
+    if name.endswith("lookahead"):
+        # publish compacts once, and each lookahead pass once before it
+        assert len(compactions) > 1
 
 
 # -- Felsch against the two-end Felsch it replaced ---------------------------------
