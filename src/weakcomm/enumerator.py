@@ -13,8 +13,10 @@ The table is stored column-major, one list per column: column 2i is
 generator i, column 2i+1 its inverse, and -1 marks an undefined entry.
 Compaction (cosets renumbered in discovery order, dead rows dropped)
 rewrites the column lists and the union-find list in place, so each
-relator, and each Felsch rotation, is bound once to the column lists it
-reads forward and backward, and the inlined scans index those.  Publishing
+relator, subgroup word and Felsch rotation is bound once to the column
+lists it reads forward and backward.  One scan loop indexes those: HLT's
+relator and lookahead passes, both strategies' subgroup-word scans and
+Felsch's deductions all run through ``_Enumeration._scan``.  Publishing
 compacts, checks that the table is closed and hands the columns to
 ``CosetTable`` as they are, so output is deterministic for a fixed strategy
 and input order.
@@ -160,7 +162,7 @@ class _Enumeration:
 
     def bind(self, words) -> list:
         """Each word with its forward and backward column lists and its last
-        index, the form the inlined scans read."""
+        index, the form ``_scan`` reads."""
         t = self.table
         return [(w, [t[x] for x in w], [t[x ^ 1] for x in w], len(w) - 1)
                 for w in words]
@@ -177,9 +179,6 @@ class _Enumeration:
 
     def alive(self, a: int) -> bool:
         return self.p[a] == a
-
-    def n_live(self) -> int:
-        return len(self.p) - self.n_dead
 
     def image(self, a: int, word: tuple[int, ...]) -> int:
         """Where a closed table sends coset a under a word of columns."""
@@ -247,39 +246,48 @@ class _Enumeration:
                 else:
                     self.set_entry(mu, x, nu)
 
-    # scanning ----------------------------------------------------------------
+    # scanning and strategies ------------------------------------------------
 
-    def scan(self, a: int, word: tuple[int, ...], fill: bool) -> None:
-        t = self.table
-        f, i = a, 0
-        b, j = a, len(word) - 1
-        while True:
-            while i <= j and (c := t[word[i]][f]) >= 0:
-                f = c
-                i += 1
-            if i > j:
-                if f != b:
+    def _scan(self, a: int, bound: list, k: int = 0, fill: bool = False) -> int:
+        """Scan the bound words from the k-th on at coset a, each from both
+        ends, and return the index of the next word once a dies (len(bound)
+        when none is left).  A gap of one closes, queueing the deduction while
+        Felsch tracks them; a longer gap is filled only with ``fill``."""
+        p = self.p
+        queue = self.deductions if self.track_deductions else None
+        for word, fwd, bwd, j in bound[k:] if k else bound:
+            k += 1
+            f, i, b = a, 0, a
+            while True:
+                while i <= j and (c := fwd[i][f]) >= 0:
+                    f = c
+                    i += 1
+                if i > j:
+                    if f != b:
+                        self.coincidence(f, b)
+                    break
+                while j >= i and (c := bwd[j][b]) >= 0:
+                    b = c
+                    j -= 1
+                if j < i:
                     self.coincidence(f, b)
-                return
-            while j >= i and (c := t[word[j] ^ 1][b]) >= 0:
-                b = c
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                self.set_entry(f, word[i], b)
-                return
-            if not fill:
-                return
-            f = self.define(f, word[i])
-            i += 1
-
-    # strategies -----------------------------------------------------------
+                    break
+                if j == i:
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    if queue is not None:
+                        queue.append((f, word[i]))
+                    break
+                if not fill:
+                    break
+                f = self.define(f, word[i])
+                i += 1
+            if p[a] != a:
+                break
+        return k
 
     def run_hlt(self) -> None:
-        for w in self.subgens:
-            self.scan(0, w, fill=True)
+        self._scan(0, self.bind(self.subgens), fill=True)
         p, define = self.p, self.define
         relators = self.bind(self.relators)
         a = 0
@@ -289,32 +297,8 @@ class _Enumeration:
                 a += 1
                 continue
             try:
-                # scan(a, word, fill=True) inlined over the bound relators
-                for word, fwd, bwd, j in relators:
-                    f, i, b = a, 0, a
-                    while True:
-                        while i <= j and (c := fwd[i][f]) >= 0:
-                            f = c
-                            i += 1
-                        if i > j:
-                            if f != b:
-                                self.coincidence(f, b)
-                            break
-                        while j >= i and (c := bwd[j][b]) >= 0:
-                            b = c
-                            j -= 1
-                        if j < i:
-                            self.coincidence(f, b)
-                            break
-                        if j == i:
-                            fwd[i][f] = b
-                            bwd[i][b] = f
-                            break
-                        f = define(f, word[i])
-                        i += 1
-                    if p[a] != a:
-                        break
-                else:
+                self._scan(a, relators, fill=True)
+                if p[a] == a:
                     for x, col in enumerate(self.table):
                         if col[a] < 0:
                             define(a, x)
@@ -323,24 +307,17 @@ class _Enumeration:
                 if lookaheads_left == 0:
                     raise
                 lookaheads_left -= 1
-                before = self.n_live()
-                self.lookahead()
-                if self.n_live() > 0.95 * before:
+                before = len(p) - self.n_dead
+                for b in range(len(p)):
+                    if p[b] == b:
+                        self._scan(b, relators)
+                if len(p) - self.n_dead > 0.95 * before:
                     raise
                 a = self.compact(0)
                 continue
             a += 1
             if self.n_dead > COMPACT_THRESHOLD and self.n_dead > len(p) // 2:
                 a = self.compact(a)
-
-    def lookahead(self) -> None:
-        for a in range(len(self.p)):
-            if not self.alive(a):
-                continue
-            for r in self.relators:
-                self.scan(a, r, fill=False)
-                if not self.alive(a):
-                    break
 
     def compact(self, pointer: int) -> int:
         """Renumber live cosets in order, dropping dead rows and pointing
@@ -375,10 +352,9 @@ class _Enumeration:
                     if rot not in seen:
                         seen.add(rot)
                         rotations[rot[0]].append(rot)
-        self.bound_rotations = [self.bind(rots) for rots in rotations]
-        for w in self.subgens:
-            self.scan(0, w, fill=True)
-        self._process_deductions(rotations)
+        bound = [self.bind(rots) for rots in rotations]
+        self._scan(0, self.bind(self.subgens), fill=True)
+        self._process_deductions(bound)
         # coincidences keep a live row full, so every live row behind the
         # pointer stays full and the pointer finds the first undefined entry
         a = 0
@@ -389,36 +365,20 @@ class _Enumeration:
                 continue
             self.define(a, x)
             self.deductions.append((a, x))
-            self._process_deductions(rotations)
+            self._process_deductions(bound)
 
-    def _process_deductions(self, rotations) -> None:
-        # scan(a, word, fill=False) inlined, over the bound rotations that
-        # start with x only: scanning the cycles through b = a^x again from
-        # b, read backwards, would find nothing new (see the module docstring)
-        p, queue, bound = self.p, self.deductions, self.bound_rotations
+    def _process_deductions(self, bound) -> None:
+        # the bound rotations that start with x, at a only: scanning the
+        # cycles through b = a^x again from b, read backwards, would find
+        # nothing new (see the module docstring); a scan stops when a dies
+        # and resumes at its live coset
+        queue = self.deductions
         while queue:
             a, x = queue.popleft()
-            for word, fwd, bwd, last in bound[x]:
-                if p[a] != a:            # a coincidence killed a
-                    a = self.find(a)
-                f, i = a, 0
-                b, j = a, last
-                while i <= j and (c := fwd[i][f]) >= 0:
-                    f = c
-                    i += 1
-                if i > j:
-                    if f != a:
-                        self.coincidence(f, a)
-                    continue
-                while j >= i and (c := bwd[j][b]) >= 0:
-                    b = c
-                    j -= 1
-                if j < i:
-                    self.coincidence(f, b)
-                elif j == i:
-                    fwd[i][f] = b
-                    bwd[i][b] = f
-                    queue.append((f, word[i]))
+            rotations = bound[x]
+            k = 0
+            while k < len(rotations):
+                k = self._scan(self.find(a), rotations, k)
 
     # publication ---------------------------------------------------------
 

@@ -200,6 +200,8 @@ def minimal_area_search(pres: Presentation, w: Word, max_area: int,
     """
     if max_radius < 0:
         raise ArgumentError(f"max_radius must be >= 0, got {max_radius}")
+    if max_area < 0:
+        raise ArgumentError(f"max_area must be >= 0, got {max_area}")
     if w.is_identity():
         return 0
     if max_area < 1:

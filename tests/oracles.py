@@ -471,17 +471,39 @@ def full_smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
 class TwoEndFelsch(_Enumeration):
     """Felsch as it was before each deduction was scanned from one end: the
     rotations that start with column x at a, then those that start with the
-    inverse column x ^ 1 at b = a^x, with ``find`` before every scan."""
+    inverse column x ^ 1 at b = a^x, each scanned on its own with ``find``
+    before every scan."""
 
-    def _process_deductions(self, rotations) -> None:
+    def scan(self, a: int, word: tuple[int, ...]) -> None:
+        """Scan one word of columns at coset a from both ends without
+        defining a coset: a gap of one closes as a deduction."""
+        t = self.table
+        f, i = a, 0
+        b, j = a, len(word) - 1
+        while i <= j and (c := t[word[i]][f]) >= 0:
+            f = c
+            i += 1
+        if i > j:
+            if f != b:
+                self.coincidence(f, b)
+            return
+        while j >= i and (c := t[word[j] ^ 1][b]) >= 0:
+            b = c
+            j -= 1
+        if j < i:
+            self.coincidence(f, b)
+        elif j == i:
+            self.set_entry(f, word[i], b)
+
+    def _process_deductions(self, bound) -> None:
         while self.deductions:
             a, x = self.deductions.popleft()
-            for rot in rotations[x]:
-                self.scan(self.find(a), rot, fill=False)
+            for rot, *_ in bound[x]:
+                self.scan(self.find(a), rot)
             b = self.table[x][self.find(a)]
             if b >= 0:
-                for rot in rotations[x ^ 1]:
-                    self.scan(self.find(b), rot, fill=False)
+                for rot, *_ in bound[x ^ 1]:
+                    self.scan(self.find(b), rot)
 
 
 def two_end_felsch(pres, subgens, max_cosets: int):

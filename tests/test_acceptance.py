@@ -6,6 +6,8 @@ summary lines).
 
 import random
 
+import pytest
+
 from weakcomm import sidki, zqmodules
 from weakcomm.decision import (FiniteRealizationOracle, WPSetup, ball_sizes,
                                growth_classifier, oracle_for_presentation,
@@ -134,6 +136,7 @@ def _equivalence_sweep(base_text, max_len, n_random, seed):
     return checked, disagreements
 
 
+@pytest.mark.slow
 def test_criterion_07_word_problem_oracle_equivalence():
     for text, seed in (("< a | a^2 >", 11), ("< a, b | a^2, b^2, (a*b)^3 >", 12)):
         checked, disagreements = _equivalence_sweep(text, 8, 10_000, seed)

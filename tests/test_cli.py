@@ -305,11 +305,14 @@ def test_area_min_search_without_certificate(capsys):
     assert '"minimal_area": null' in out
 
 
-def test_area_min_search_with_negative_radius_is_usage_error(capsys):
-    assert main(["area", "--min-search", "[a,b]", "--max-radius", "-1"]) == 3
+@pytest.mark.parametrize("flag", ["--max-radius", "--max-area"], ids=["radius", "area"])
+@pytest.mark.parametrize("word", ["[a,b]", "1"], ids=["commutator", "identity"])
+def test_area_min_search_with_negative_radius_is_usage_error(capsys, flag, word):
+    # a negative bound is refused before the identity's area 0 is read off
+    assert main(["area", "--min-search", word, flag, "-1"]) == 3
     captured = capsys.readouterr()
     assert "minimal area" not in captured.out
-    assert "max_radius" in captured.err
+    assert flag[2:].replace("-", "_") in captured.err
 
 
 def test_config_file(tmp_path, capsys):

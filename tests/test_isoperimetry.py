@@ -118,12 +118,13 @@ def test_minimal_area_of_the_two_by_two_grid():
 def test_minimal_area_bounds():
     w = word("[a,b]")
     assert minimal_area_search(GRID_PRESENTATION, w, 0, 2) is None
-    assert minimal_area_search(GRID_PRESENTATION, w, -1, 2) is None
+    assert minimal_area_search(GRID_PRESENTATION, Word(), 0, 2) == 0
     assert minimal_area_search(GRID_PRESENTATION, w, 1, 0) == 1
-    with pytest.raises(ArgumentError):
-        minimal_area_search(GRID_PRESENTATION, w, 2, -1)
-    with pytest.raises(ArgumentError):
-        minimal_area_search(GRID_PRESENTATION, Word(), 2, -1)
+    for max_area, max_radius in ((2, -1), (-1, 2)):
+        with pytest.raises(ArgumentError):
+            minimal_area_search(GRID_PRESENTATION, w, max_area, max_radius)
+        with pytest.raises(ArgumentError):
+            minimal_area_search(GRID_PRESENTATION, Word(), max_area, max_radius)
 
 
 def test_minimal_area_of_a_foreign_word_is_none_before_any_search(monkeypatch):
