@@ -7,19 +7,21 @@ as an alternative.  Felsch defines the first undefined entry, which it finds
 with a forward pointer over the rows, as HLT does, and scans a deduction
 a -x-> b from a alone: a relator cycle through b -x^-1-> a is one through
 a -x-> b read backwards, and scans read words from both ends.  Coincidences
-are processed with a path-compressed union-find.
+are processed in one loop over a union-find whose smaller root survives.
 
 The table is stored column-major, one list per column: column 2i is
 generator i, column 2i+1 its inverse, and -1 marks an undefined entry.
-Compaction (cosets renumbered in discovery order, dead rows dropped)
+Every column keeps a -1 past its last row, so ``col[-1] == -1`` and a walk
+stays at -1 once it meets an undefined entry; columns grow by blocks of
+rows.  Compaction (cosets renumbered in discovery order, dead rows dropped)
 rewrites the column lists and the union-find list in place, so each
 relator, subgroup word and Felsch rotation is bound once to the column
 lists it reads forward and backward.  One scan loop indexes those: HLT's
 relator and lookahead passes, both strategies' subgroup-word scans and
 Felsch's deductions all run through ``_Enumeration._scan``.  Publishing
-compacts, checks that the table is closed and hands the columns to
-``CosetTable`` as they are, so output is deterministic for a fixed strategy
-and input order.
+compacts, cuts the columns to their rows, checks that the table is closed
+and hands them to ``CosetTable``, so output is deterministic for a fixed
+strategy and input order.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def _columns(p: Presentation, w: Word) -> tuple[int, ...]:
 # HLT renumbers the table mid-run once more than this many rows are dead and
 # dead rows are more than half of all rows
 COMPACT_THRESHOLD = 4096
+_BLOCK = [-1] * 4096   # the rows a full column grows by
 
 
 @dataclass
@@ -152,7 +155,7 @@ class _Enumeration:
         # column-major: table[x][a] is the image of coset a under column x,
         # -1 while undefined; the column lists are never replaced, so lists
         # bound to them below stay valid across compactions
-        self.table: list[list[int]] = [[-1] for _ in range(self.ncols)]
+        self.table: list[list[int]] = [[-1, -1] for _ in range(self.ncols)]
         t = self.table
         self.pairs = [(t[x], t[x ^ 1], x) for x in range(self.ncols)]
         self.p = [0]                     # union-find; one entry per row
@@ -162,7 +165,7 @@ class _Enumeration:
 
     def bind(self, words) -> list:
         """Each word with its forward and backward column lists and its last
-        index, the form ``_scan`` reads."""
+        index, the form ``_scan`` reads; the lists are the columns themselves."""
         t = self.table
         return [(w, [t[x] for x in w], [t[x ^ 1] for x in w], len(w) - 1)
                 for w in words]
@@ -199,33 +202,25 @@ class _Enumeration:
         if len(self.p) - self.n_dead >= self.max_cosets:
             raise EnumerationOverflow(self.max_cosets)
         b = len(self.p)
-        for col in self.table:
-            col.append(-1)
         self.p.append(b)
+        if len(self.table[x]) == b + 1:      # row b took the last -1
+            for col in self.table:
+                col.extend(_BLOCK)
         self.table[x][a] = b
         self.table[x ^ 1][b] = a
         return b
 
-    def set_entry(self, a: int, x: int, b: int) -> None:
-        self.table[x][a] = b
-        self.table[x ^ 1][b] = a
-        if self.track_deductions:
-            self.deductions.append((a, x))
-
-    def merge(self, a: int, b: int, queue: deque) -> None:
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return
+    def coincidence(self, a: int, b: int) -> None:
+        """Identify the live cosets a != b and all that forces: a dead row's
+        entries move to its root, and an entry that root has already makes
+        the next pair.  A moved entry is a deduction while Felsch tracks."""
+        p = self.p
+        deductions = self.deductions if self.track_deductions else None
         if a > b:
             a, b = b, a
-        self.p[b] = a
-        self.n_dead += 1
-        queue.append(b)
-
-    def coincidence(self, a: int, b: int) -> None:
-        p, merge = self.p, self.merge
-        queue: deque[int] = deque()
-        merge(a, b, queue)
+        p[b] = a
+        n_dead = self.n_dead + 1
+        queue = deque([b])
         while queue:
             dead = queue.popleft()
             for col, inv, x in self.pairs:
@@ -240,11 +235,23 @@ class _Enumeration:
                 while p[nu] != nu:
                     nu = p[nu]
                 if (e := col[mu]) >= 0:
-                    merge(nu, e, queue)
-                elif (e := inv[nu]) >= 0:
-                    merge(mu, e, queue)
-                else:
-                    self.set_entry(mu, x, nu)
+                    mu = nu
+                elif (e := inv[nu]) < 0:
+                    col[mu] = nu
+                    inv[nu] = mu
+                    if deductions is not None:
+                        deductions.append((mu, x))
+                    continue
+                # the root mu and the coset e are the next pair
+                while p[e] != e:
+                    e = p[e]
+                if e != mu:
+                    if mu > e:
+                        mu, e = e, mu
+                    p[e] = mu
+                    n_dead += 1
+                    queue.append(e)
+        self.n_dead = n_dead
 
     # scanning and strategies ------------------------------------------------
 
@@ -252,11 +259,26 @@ class _Enumeration:
         """Scan the bound words from the k-th on at coset a, each from both
         ends, and return the index of the next word once a dies (len(bound)
         when none is left).  A gap of one closes, queueing the deduction while
-        Felsch tracks them; a longer gap is filled only with ``fill``."""
+        Felsch tracks them; a longer gap is filled only with ``fill``.  HLT
+        first walks each word blind, with no test: most close at a, one that
+        ends at another coset is a coincidence, and one that meets a gap stays
+        at -1 (``col[-1]``) and is scanned from both ends.  Most Felsch scans
+        stop at two gaps, so Felsch skips the blind walk."""
         p = self.p
         queue = self.deductions if self.track_deductions else None
         for word, fwd, bwd, j in bound[k:] if k else bound:
             k += 1
+            if queue is None:
+                f = a
+                for col in fwd:
+                    f = col[f]
+                if f == a:
+                    continue
+                if f >= 0:
+                    self.coincidence(f, a)
+                    if p[a] != a:
+                        break
+                    continue
             f, i, b = a, 0, a
             while True:
                 while i <= j and (c := fwd[i][f]) >= 0:
@@ -337,6 +359,7 @@ class _Enumeration:
         renumber.append(-1)
         for col in self.table:
             col[:] = [renumber[col[a]] for a in live]
+            col.append(-1)
         p[:] = range(len(live))
         self.n_dead = 0
         return bisect_left(live, pointer)
@@ -383,10 +406,12 @@ class _Enumeration:
     # publication ---------------------------------------------------------
 
     def publish(self, subgroup_words: Sequence[Word]) -> CosetTable:
-        """Compact the table and check that it is closed: every entry is
-        defined, every relator closes at every coset and every subgroup word
-        fixes coset 0."""
+        """Compact the table, cut each column to its rows and check that it
+        is closed: every entry is defined, every relator closes at every
+        coset and every subgroup word fixes coset 0."""
         self.compact(0)
+        for col in self.table:
+            del col[len(self.p):]
         if any(-1 in col for col in self.table):
             raise WeakcommError("open coset table entry")
         # one gather per letter over all cosets; a single coset closes every

@@ -20,7 +20,8 @@ import pytest
 
 from weakcomm.decision import WPOracle
 from weakcomm.enumerator import CosetTable, _Enumeration
-from weakcomm.errors import ArgumentError, ParseError, SizeGuardError
+from weakcomm.errors import (ArgumentError, EnumerationOverflow, ParseError,
+                             SizeGuardError)
 from weakcomm.intlinalg import FinAbGroup, IntMatrix
 from weakcomm.isoperimetry import AreaCertificate, _abelian_feasible
 from weakcomm.permgroups import GroupHom, Perm, PermGroup, evaluate
@@ -493,7 +494,9 @@ class TwoEndFelsch(_Enumeration):
         if j < i:
             self.coincidence(f, b)
         elif j == i:
-            self.set_entry(f, word[i], b)
+            t[word[i]][f] = b
+            t[word[i] ^ 1][b] = f
+            self.deductions.append((f, word[i]))
 
     def _process_deductions(self, bound) -> None:
         while self.deductions:
@@ -511,6 +514,64 @@ def two_end_felsch(pres, subgens, max_cosets: int):
     ``enumerate_cosets`` publishes it."""
     enum = TwoEndFelsch(pres, subgens, max_cosets)
     enum.run_felsch()
+    return enum.publish(subgens)
+
+
+class CheckedWalkHLT(_Enumeration):
+    """HLT as it was before the blind walk and the block-grown columns: each
+    scan tests every entry it reads for -1 and every index against the
+    word's other end, and a coset is defined by one append per column.  It
+    never reads past the last row, so it needs no -1 there."""
+
+    def define(self, a: int, x: int) -> int:
+        if len(self.p) - self.n_dead >= self.max_cosets:
+            raise EnumerationOverflow(self.max_cosets)
+        b = len(self.p)
+        for col in self.table:
+            col.append(-1)
+        self.p.append(b)
+        self.table[x][a] = b
+        self.table[x ^ 1][b] = a
+        return b
+
+    def _scan(self, a: int, bound: list, k: int = 0, fill: bool = False) -> int:
+        # HLT tracks no deductions, so a gap of one just closes
+        p = self.p
+        for word, fwd, bwd, j in bound[k:] if k else bound:
+            k += 1
+            f, i, b = a, 0, a
+            while True:
+                while i <= j and (c := fwd[i][f]) >= 0:
+                    f = c
+                    i += 1
+                if i > j:
+                    if f != b:
+                        self.coincidence(f, b)
+                    break
+                while j >= i and (c := bwd[j][b]) >= 0:
+                    b = c
+                    j -= 1
+                if j < i:
+                    self.coincidence(f, b)
+                    break
+                if j == i:
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    break
+                if not fill:
+                    break
+                f = self.define(f, word[i])
+                i += 1
+            if p[a] != a:
+                break
+        return k
+
+
+def checked_walk_hlt(pres, subgens, max_cosets: int):
+    """The coset table of the checked-walk HLT above, published as
+    ``enumerate_cosets`` publishes it."""
+    enum = CheckedWalkHLT(pres, subgens, max_cosets)
+    enum.run_hlt()
     return enum.publish(subgens)
 
 

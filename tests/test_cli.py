@@ -167,12 +167,34 @@ def test_engel_command_runs_without_numpy():
     assert "verdict=True" in done.stdout
 
 
-def _fresh_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+def _fresh_python(code: str, timeout: float,
+                  hash_seed: str | None = None) -> subprocess.CompletedProcess:
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("args", [
+    ["realize", "--double", "--strategy", "hlt"],
+    ["realize", "--double", "--strategy", "felsch"],
+    ["verify"],
+], ids=["realize-hlt", "realize-felsch", "verify"])
+def test_reports_do_not_depend_on_the_hash_seed(args):
+    """Coset tables are numbered in discovery order, which no set or dict
+    order may reach: the JSON reports on A4 agree under two hash seeds."""
+    argv = [*args, "-p", "< a, b | a^2, b^3, (a*b)^3 >", "--json", "-"]
+    code = ("import sys\n"
+            "from weakcomm.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    runs = [_fresh_python(code, timeout=120, hash_seed=seed) for seed in ("1", "2")]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert '"schema_version"' in runs[0].stdout     # the JSON report came out
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_parse_finishes_on_a_dense_relation_matrix():

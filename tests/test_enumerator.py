@@ -14,7 +14,7 @@ from weakcomm.presentations import (AllElements, Presentation,
                                     parse_presentation, sidki_double)
 from weakcomm.words import GenSymbol, Word, commutator, parse_word
 
-from .oracles import closure, s3_generators, two_end_felsch
+from .oracles import checked_walk_hlt, closure, s3_generators, two_end_felsch
 
 S3 = parse_presentation("< a, b | a^2, b^2, (a*b)^3 >")
 C3 = parse_presentation("< a | a^3 >")
@@ -256,6 +256,8 @@ def test_table_bytes_are_pinned(monkeypatch, name, strategy):
                          strategy=strategy)
     digest = hashlib.sha256(t.to_json().encode("utf-8")).hexdigest()
     assert digest == PINNED_DIGESTS[name, strategy]
+    # published columns hold their rows and nothing past them
+    assert all(len(col) == t.n_cosets for col in t.columns)
     if name.endswith("lookahead"):
         # publish compacts once, and each lookahead pass once before it
         assert len(compactions) > 1
@@ -324,6 +326,30 @@ def test_felsch_matches_the_two_end_felsch(case):
         assert json.loads(hlt)["n_cosets"] == json.loads(felsch)["n_cosets"]
 
 
+# -- the blind walk against the checked walk it replaced -----------------------------
+
+def _lookahead_case(name: str):
+    pres, subgens = _pinned_input(name)
+    return pres, subgens, LOOKAHEAD_BUDGETS[name]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_presentations).map(
+    lambda case: (*case, DIFFERENTIAL_BUDGET)))
+@example((COLLAPSE, [], 200_000))
+@example(_lookahead_case("X(S3) lookahead"))
+@example(_lookahead_case("X(A4) lookahead"))
+@example(_lookahead_case("X(D4) lookahead"))
+def test_hlt_matches_the_checked_walk_hlt(case):
+    pres, subgens, budget = case
+    for threshold in (enumerator.COMPACT_THRESHOLD, 1):
+        with mock.patch.object(enumerator, "COMPACT_THRESHOLD", threshold):
+            expected = _table_or_overflow(lambda: checked_walk_hlt(pres, subgens, budget))
+            hlt = _table_or_overflow(lambda: enumerate_cosets(
+                pres, subgens, max_cosets=budget, strategy="hlt"))
+        assert hlt == expected
+
+
 # -- in-place compaction -----------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -349,13 +375,22 @@ def test_compaction_keeps_the_column_and_union_find_lists(monkeypatch):
     pointers = []
     compact = enum.compact
 
+    def sentinels_kept():
+        # every column runs past the last row and ends in -1, which holds a
+        # blind walk at -1 once it meets an undefined entry
+        return all(len(col) > len(p) and col[-1] == -1 for col in columns)
+
     def recording(pointer):
         pointers.append(pointer)
-        return compact(pointer)
+        assert sentinels_kept()
+        new_pointer = compact(pointer)
+        assert sentinels_kept()
+        return new_pointer
 
     enum.compact = recording
     enum.run_hlt()
     assert pointers          # compacted mid-run
+    assert sentinels_kept()
     published = enum.publish([])
     assert all(col is kept for col, kept in zip(enum.table, columns, strict=True))
     assert enum.p is p and p == list(range(published.n_cosets))
