@@ -40,7 +40,7 @@ from .presentations import (AllElements, LengthBound, Presentation,
                             element_witnesses, format_presentation,
                             parse_presentation, presentation_to_json,
                             require_finite, require_unbarred, sidki_double)
-from .words import parse_word
+from .words import Word, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -261,8 +261,7 @@ def _cmd_growth(args, config: RunConfig) -> int:
     if args.double:
         pres, meta, _ = _resolve_double(pres, config)
     oracle, kind = oracle_for_presentation(pres, max_cosets=config.max_cosets)
-    gens = [parse_word(g.name + ("~" if g.bar else ""), pres.generators)
-            for g in pres.generators]
+    gens = [Word([g]) for g in pres.generators]
     sizes = ball_sizes(gens, oracle, config.radius)
     cls = growth_classifier(sizes)
     print(f"sizes: {sizes}")

@@ -29,10 +29,11 @@ from typing import Sequence
 
 from .enumerator import CosetTable, enumerate_cosets, signed_letters
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
-from .isoperimetry import _mul, minimal_area_search
+from .isoperimetry import minimal_area_search
 from .permgroups import Perm, evaluate
-from .presentations import Presentation, require_finite, require_unbarred
-from .words import GenSymbol, Word, commutator, rho_word
+from .presentations import (Presentation, exponent_matrix, require_finite,
+                            require_unbarred)
+from .words import GenSymbol, Word, commutator, mul_codes, rho_word
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -72,7 +73,7 @@ class FreeGroupOracle(WPOracle):
 
     def right_multiplier(self, w: Word):
         b = self.normal_form(w)
-        return lambda a: _mul(a, b)
+        return lambda a: mul_codes(a, b)
 
 
 class FreeAbelianOracle(WPOracle):
@@ -109,20 +110,14 @@ class FiniteRealizationOracle(WPOracle):
         return self.table.trace_word(0, w)
 
     def right_multiplier(self, w: Word):
-        table = self.table
-        return [table.trace_word(c, w) for c in range(table.n_cosets)].__getitem__
+        return self.table.word_image_unchecked(w).img.__getitem__
 
 
 def _is_commutator_of(r: Word, x: GenSymbol, y: GenSymbol) -> bool:
+    """Whether r is a cyclic rotation of [x, y] or of its inverse."""
     target = commutator(Word([x]), Word([y]))
-    rots = []
-    letters = list(target)
-    for k in range(4):
-        rots.append(tuple(letters[k:] + letters[:k]))
-    inv = list(target.inverse())
-    for k in range(4):
-        rots.append(tuple(inv[k:] + inv[:k]))
-    return tuple(r) in rots
+    return any(r.letters == c[k:] + c[:k] for k in range(4)
+               for c in (target.letters, target.inverse().letters))
 
 
 def oracle_for_presentation(pres: Presentation, max_cosets: int = 10 ** 6
@@ -134,9 +129,7 @@ def oracle_for_presentation(pres: Presentation, max_cosets: int = 10 ** 6
     if not pres.relators:
         return FreeGroupOracle(pres.generators), "free"
     gens = pres.generators
-    zero_sums = all(all(r.exponent_sum(g) == 0 for g in gens)
-                    for r in pres.relators)
-    if zero_sums:
+    if not any(map(any, exponent_matrix(pres).data)):
         pairs_needed = [(gens[i], gens[j]) for i in range(len(gens))
                         for j in range(i + 1, len(gens))]
         covered = all(any(_is_commutator_of(r, x, y) for r in pres.relators)
@@ -175,16 +168,12 @@ class WPSetup:
     random_quotients: list[tuple[int, list[Perm]]] = field(default_factory=list)
     failed_full_budget: int = 0
     quotients_built: bool = False
-    alphabet_set: set = field(init=False, default_factory=set)
 
     def __post_init__(self):
         require_unbarred(self.base)
-        base_names = {(g.name, g.bar) for g in self.base.generators}
-        want = base_names | {(n, True) for n, _ in base_names}
-        have = {(g.name, g.bar) for g in self.double.generators}
-        if want != have:
+        base = self.base.index
+        if base.keys() | {(n, True) for n, _ in base} != self.double.index.keys():
             raise ArgumentError("double alphabet must be the doubled base alphabet")
-        self.alphabet_set = have
 
 
 def _try_full_enumeration(setup: WPSetup, budget: int) -> CosetTable | None:
@@ -205,8 +194,7 @@ def _build_partial_quotients(setup: WPSetup, budget: int) -> None:
     for g in setup.double.generators:
         try:
             table = enumerate_cosets(setup.double, [Word([g])], max_cosets=budget)
-            name = g.name + ("~" if g.bar else "")
-            setup.partial_quotients.append((f"cosets-of-<{name}>", setup.double, table))
+            setup.partial_quotients.append((f"cosets-of-<{g}>", setup.double, table))
         except EnumerationOverflow:
             continue
     rng = random.Random(20240901)
@@ -222,6 +210,18 @@ def _build_partial_quotients(setup: WPSetup, budget: int) -> None:
             break
 
 
+def _faithful_verdict(table: CosetTable, w: Word, spent: dict) -> Verdict:
+    """A regular table's verdict; on its free action a word's order is its cycle length at 0."""
+    witness = {"n_cosets": table.n_cosets}
+    if table.is_trivial_word(w):
+        return Verdict("trivial", "faithful enumeration of the double", witness, spent)
+    order, c = 1, table.trace_word(0, w)
+    while c:
+        order, c = order + 1, table.trace_word(c, w)
+    witness["image_order"] = order
+    return Verdict("nontrivial", "faithful enumeration of the double", witness, spent)
+
+
 def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
     """Decide triviality of a word over the doubled alphabet.
 
@@ -229,8 +229,9 @@ def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
     bounded budget is guaranteed only when some enumeration of the double
     closes (in particular whenever the base group is finite).
     """
+    index = setup.double.index
     for sym in w:
-        if (sym.name, sym.bar) not in setup.alphabet_set:
+        if (sym.name, sym.bar) not in index:
             raise ArgumentError(f"letter {sym} outside the double's alphabet")
 
     # stage 1: the triple-coordinate image; any bad coordinate certifies
@@ -243,9 +244,7 @@ def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
     # stage 2: the word lies in the kernel; dovetail searches
     spent = {"area_laps": 0, "enum_budget": 0}
     if setup.faithful is not None:
-        value = "trivial" if setup.faithful.is_trivial_word(w) else "nontrivial"
-        return Verdict(value, "faithful enumeration of the double",
-                       {"n_cosets": setup.faithful.n_cosets}, spent)
+        return _faithful_verdict(setup.faithful, w, spent)
     max_laps = max(1, budget.bit_length() // 2)
     for lap in range(max_laps):
         # (a) certificate search, small and strictly bounded
@@ -263,13 +262,7 @@ def xg_word_problem(setup: WPSetup, w: Word, budget: int = 200_000) -> Verdict:
         spent["enum_budget"] = enum_budget
         table = _try_full_enumeration(setup, enum_budget)
         if table is not None:
-            img = table.word_image(setup.double, w)
-            if img.is_identity():
-                return Verdict("trivial", "faithful enumeration of the double",
-                               {"n_cosets": table.n_cosets}, spent)
-            return Verdict("nontrivial", "faithful enumeration of the double",
-                           {"n_cosets": table.n_cosets,
-                            "image_order": img.order()}, spent)
+            return _faithful_verdict(table, w, spent)
         if lap >= 2:
             _build_partial_quotients(setup, min(budget, enum_budget))
             for name, pres, table in setup.partial_quotients:
@@ -297,12 +290,7 @@ def ball_sizes(gens: Sequence[Word], oracle: WPOracle, radius: int) -> list[int]
     """
     if radius < 0:
         raise ArgumentError("radius must be >= 0")
-    letters: list[Word] = []
-    seen_letters: set[Word] = set()
-    for g in list(gens) + [g.inverse() for g in gens]:
-        if g not in seen_letters:
-            seen_letters.add(g)
-            letters.append(g)
+    letters = list(dict.fromkeys([*gens, *(g.inverse() for g in gens)]))
     start = oracle.normal_form(Word())
     steps = [oracle.right_multiplier(g) for g in letters]
     known = {start}

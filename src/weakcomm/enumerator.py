@@ -41,20 +41,17 @@ from .words import GenSymbol, Word
 
 def signed_letters(p: Presentation, w: Word) -> tuple[int, ...]:
     """Encode a word as signed 1-based generator indices."""
-    idx = p.gen_index()
-    out = []
-    for sym in w:
-        i = idx.get((sym.name, sym.bar))
-        if i is None:
-            raise ArgumentError(f"word uses undeclared generator {sym}")
-        out.append((i + 1) * sym.sign)
-    return tuple(out)
+    idx = p.index
+    try:
+        return tuple([(idx[sym.name, sym.bar] + 1) * sym.sign for sym in w])
+    except KeyError:
+        sym = next(s for s in w if (s.name, s.bar) not in idx)
+        raise ArgumentError(f"word uses undeclared generator {sym}") from None
 
 
 def _columns(p: Presentation, w: Word) -> tuple[int, ...]:
     # column 2i is generator i, column 2i+1 its inverse
-    return tuple(2 * (abs(s) - 1) + (0 if s > 0 else 1)
-                 for s in signed_letters(p, w))
+    return tuple(2 * abs(s) - 2 + (s < 0) for s in signed_letters(p, w))
 
 
 # HLT renumbers the table mid-run once more than this many rows are dead and
@@ -69,18 +66,19 @@ class CosetTable:
 
     ``columns[2*i]`` is the permutation of the cosets by generator i and
     ``columns[2*i + 1]`` the one by its inverse; cosets are numbered in
-    discovery order and coset 0 is the subgroup.
+    discovery order and coset 0 is the subgroup.  ``letter_columns``, the
+    letter map, sends a letter's (name, bar, sign) to its column; outside the
+    enumeration nothing else knows the column layout.
     """
 
     n_cosets: int
     columns: tuple[tuple[int, ...], ...]
     generators: tuple[GenSymbol, ...]
     subgroup_words: tuple[Word, ...]
-    # (name, bar, sign) of a letter -> its column
-    _letter_columns: dict = field(init=False, repr=False, compare=False)
+    letter_columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._letter_columns = {
+        self.letter_columns = {
             (g.name, g.bar, sign): self.columns[2 * i + (sign < 0)]
             for i, g in enumerate(self.generators) for sign in (1, -1)}
 
@@ -90,7 +88,7 @@ class CosetTable:
         return [Perm(col) for col in self.columns[0::2]]
 
     def trace_word(self, start: int, w: Word) -> int:
-        cols = self._letter_columns
+        cols = self.letter_columns
         c = start
         for sym in w:
             c = cols[(sym.name, sym.bar, sym.sign)][c]
@@ -106,7 +104,7 @@ class CosetTable:
         return self.trace_word(0, w) == 0
 
     def word_image_unchecked(self, w: Word) -> Perm:
-        cols = self._letter_columns
+        cols = self.letter_columns
         cur = range(self.n_cosets)
         for sym in w:
             col = cols[(sym.name, sym.bar, sym.sign)]
@@ -119,7 +117,7 @@ class CosetTable:
 
     def coset_words(self) -> list[Word]:
         """One representative word per coset, BFS-shortest, discovery order."""
-        letters = [(GenSymbol(*key), col) for key, col in self._letter_columns.items()]
+        letters = [(GenSymbol(*key), col) for key, col in self.letter_columns.items()]
         words: list[Word | None] = [None] * self.n_cosets
         words[0] = Word()
         queue = deque([0])
@@ -138,7 +136,7 @@ class CosetTable:
         doc = {
             "schema_version": 1,
             "n_cosets": self.n_cosets,
-            "action": {g.name + ("~" if g.bar else ""): list(col)
+            "action": {str(g): list(col)
                        for g, col in zip(self.generators, self.columns[0::2])},
             "subgroup": [str(w) for w in self.subgroup_words],
         }

@@ -22,15 +22,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import groupby
-from operator import neg
 from typing import Callable, Sequence
 
 from .enumerator import signed_letters
 from .errors import ArgumentError, ParseError
 from .presentations import (Presentation, parse_presentation,
                             presentation_from_json, presentation_to_json)
-from .words import (GenSymbol, Word, commutator, format_word, parse_word,
-                    reduced_words, rho_word)
+from .words import (GenSymbol, Word, commutator, format_word, inverse_codes,
+                    mul_codes, parse_word, reduced_words, rho_word)
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,9 @@ class AreaCertificate:
         for theta, idx, sign in self.factors:
             if not 0 <= idx < len(relators):
                 raise ArgumentError(f"relator index {idx} out of range")
-            r = relators[idx] if sign > 0 else _inv(relators[idx])
+            r = relators[idx] if sign > 0 else inverse_codes(relators[idx])
             t = encode(theta)
-            acc = _mul(acc, _mul(_mul(_inv(t), r), t))
+            acc = mul_codes(acc, mul_codes(mul_codes(inverse_codes(t), r), t))
         return Word(letters[c] for c in acc)
 
     def to_json(self) -> str:
@@ -169,20 +168,6 @@ def _abelian_feasible(pres: Presentation, w: Word, max_area: int) -> bool:
     return dfs(0, max_area, tuple([0] * len(gens)))
 
 
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two reduced signed-integer words: cancel at the junction."""
-    if not a or not b or a[-1] != -b[0]:
-        return a + b
-    i, n, k = len(a), min(len(a), len(b)), 0
-    while k < n and a[i - 1 - k] == -b[k]:
-        k += 1
-    return a[:i - k] + b[k:]
-
-
-def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(a)))
-
-
 def minimal_area_search(pres: Presentation, w: Word, max_area: int,
                         max_radius: int) -> int | None:
     """Exact minimal area of w within the given bounds, or None (unknown).
@@ -217,10 +202,10 @@ def minimal_area_search(pres: Presentation, w: Word, max_area: int,
     seen: set[tuple[int, ...]] = set()
     for theta in reduced_words(pres.generators, max_radius):
         t = signed_letters(pres, theta)
-        t_inv = _inv(t)
+        t_inv = inverse_codes(t)
         for r in relators:
-            for rv in (r, _inv(r)):
-                f = _mul(_mul(t_inv, rv), t)
+            for rv in (r, inverse_codes(r)):
+                f = mul_codes(mul_codes(t_inv, rv), t)
                 if f not in seen:
                     seen.add(f)
                     singles.append(f)
@@ -229,14 +214,14 @@ def minimal_area_search(pres: Presentation, w: Word, max_area: int,
     def level(k: int) -> set[tuple[int, ...]]:
         while len(levels) <= k:
             prev = levels[-1]
-            levels.append({_mul(x, s) for x in prev for s in singles})
+            levels.append({mul_codes(x, s) for x in prev for s in singles})
         return levels[k]
 
     for area in range(1, max_area + 1):
         half = area // 2
         right = level(area - half)
         for left in level(half):
-            if _mul(_inv(left), target) in right:
+            if mul_codes(inverse_codes(left), target) in right:
                 return area
     return None
 

@@ -1,12 +1,14 @@
 """Finite group presentations and the weak-commutativity double.
 
 A presentation is an ordered generator list plus freely-and-cyclically
-reduced relator words.  The double of ``<X | R>`` adds a barred copy of every
-generator and, per witness word w, the relator ``[w, bar(w)]``.  With the
-``AllElements`` policy (one witness per element of a finite group, obtained
-from a coset enumeration) the double presents the weak-commutativity group
-exactly; with ``LengthBound(k)`` it presents a group that may be a proper
-pre-image, which callers must surface.
+reduced relator words.  It numbers its letters once, in ``index``, and every
+other module that needs a generator's position reads it there.  The double
+of ``<X | R>`` adds a barred copy of every generator and, per witness word
+w, the relator ``[w, bar(w)]``.  With the ``AllElements`` policy (one
+witness per element of a finite group, obtained from a coset enumeration)
+the double presents the weak-commutativity group exactly; with
+``LengthBound(k)`` it presents a group that may be a proper pre-image,
+which callers must surface.
 """
 
 from __future__ import annotations
@@ -47,30 +49,25 @@ WitnessPolicy = AllElements | LengthBound
 
 
 class Presentation:
-    """``< generators | relators >`` with validated, cyclically reduced relators."""
+    """``< generators | relators >`` with validated, cyclically reduced
+    relators; ``index`` maps each generator's (name, bar) to its position."""
 
     def __init__(self, generators: Sequence[GenSymbol], relators: Sequence[Word]):
         gens = tuple(g.generator for g in generators)
-        seen = set()
-        for g in gens:
-            key = (g.name, g.bar)
-            if key in seen:
+        self.index = index = {}
+        for i, g in enumerate(gens):
+            if index.setdefault((g.name, g.bar), i) != i:
                 raise ArgumentError(f"duplicate generator {g}")
-            seen.add(key)
-        declared = {(g.name, g.bar) for g in gens}
         reduced = []
         for r in relators:
             for sym in r:
-                if (sym.name, sym.bar) not in declared:
+                if (sym.name, sym.bar) not in index:
                     raise ArgumentError(f"relator uses undeclared generator {sym}")
             r = r.cyclically_reduced()
             if not r.is_identity():
                 reduced.append(r)
         self.generators = gens
         self.relators = tuple(reduced)
-
-    def gen_index(self) -> dict[tuple[str, bool], int]:
-        return {(g.name, g.bar): i for i, g in enumerate(self.generators)}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Presentation) and \
@@ -101,10 +98,7 @@ def parse_presentation(text: str) -> Presentation:
             if gens_part.strip():
                 raise ParseError("empty generator name", text.index(","))
             continue
-        m = re.fullmatch(r"([A-Za-z0-9_]+)(~?)", piece)
-        if not m:
-            raise ParseError(f"bad generator name {piece!r}", text.index(piece))
-        generators.append(GenSymbol(m.group(1), bar=bool(m.group(2))))
+        generators.append(_generator(piece, text.index(piece)))
     if not generators:
         raise ParseError("presentation needs at least one generator", 1)
     relators = []
@@ -113,6 +107,17 @@ def parse_presentation(text: str) -> Presentation:
         if piece:
             relators.append(parse_word(piece, generators))
     return Presentation(generators, relators)
+
+
+_GENERATOR_RE = re.compile(r"([A-Za-z0-9_]+)(~?)")
+
+
+def _generator(name: str, pos: int | None = None) -> GenSymbol:
+    """The generator a name spells: a base name and an optional bar."""
+    m = _GENERATOR_RE.fullmatch(name)
+    if not m:
+        raise ParseError(f"bad generator name {name!r}", pos)
+    return GenSymbol(m.group(1), bar=bool(m.group(2)))
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -131,7 +136,7 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def format_presentation(p: Presentation) -> str:
-    gens = ", ".join(g.name + ("~" if g.bar else "") for g in p.generators)
+    gens = ", ".join(map(str, p.generators))
     rels = ", ".join(format_word(r) for r in p.relators)
     return f"< {gens} | {rels} >"
 
@@ -139,7 +144,7 @@ def format_presentation(p: Presentation) -> str:
 def presentation_to_json(p: Presentation, meta: dict | None = None) -> str:
     doc = {
         "schema_version": 1,
-        "generators": [g.name + ("~" if g.bar else "") for g in p.generators],
+        "generators": [str(g) for g in p.generators],
         "relators": [format_word(r) for r in p.relators],
         "meta": meta or {},
     }
@@ -147,13 +152,20 @@ def presentation_to_json(p: Presentation, meta: dict | None = None) -> str:
 
 
 def presentation_from_json(text: str) -> tuple[Presentation, dict]:
-    doc = json.loads(text)
-    gens = []
-    for name in doc["generators"]:
-        bar = name.endswith("~")
-        gens.append(GenSymbol(name.rstrip("~"), bar=bar))
-    relators = [parse_word(r, gens) for r in doc["relators"]]
-    return Presentation(gens, relators), doc.get("meta", {})
+    """Inverse of ``presentation_to_json``; ParseError on invalid JSON, a
+    missing key, an entry that is not a string, or a generator name that
+    ``parse_presentation`` rejects."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"presentation is not valid JSON: {exc.msg}", exc.pos) from exc
+    doc = doc if isinstance(doc, dict) else {}
+    names, rels = doc.get("generators"), doc.get("relators")
+    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+               for v in (names, rels)):
+        raise ParseError("presentation needs lists of strings 'generators' and 'relators'")
+    gens = [_generator(name) for name in names]
+    return Presentation(gens, [parse_word(r, gens) for r in rels]), doc.get("meta", {})
 
 
 # -- the double ---------------------------------------------------------------
@@ -219,11 +231,10 @@ def sidki_double(p: Presentation, policy: WitnessPolicy,
 
 def exponent_matrix(p: Presentation) -> IntMatrix:
     """Generators as rows, relators as columns; entries are exponent sums."""
-    idx = p.gen_index()
     m = IntMatrix.zero(len(p.generators), len(p.relators))
     for j, r in enumerate(p.relators):
         for sym in r:
-            m.data[idx[(sym.name, sym.bar)]][j] += sym.sign
+            m.data[p.index[sym.name, sym.bar]][j] += sym.sign
     return m
 
 
@@ -242,19 +253,15 @@ def require_finite(p: Presentation, max_cosets: int) -> FinAbGroup:
 
 
 def _renamed(p: Presentation, suffix: str) -> Presentation:
-    mapping = {g.name: g.name + suffix for g in p.generators}
-
     def rename(w: Word) -> Word:
-        return Word(GenSymbol(mapping[s.name], s.bar, s.sign) for s in w)
+        return Word(GenSymbol(s.name + suffix, s.bar, s.sign) for s in w)
 
-    gens = [GenSymbol(mapping[g.name], g.bar) for g in p.generators]
+    gens = [GenSymbol(g.name + suffix, g.bar) for g in p.generators]
     return Presentation(gens, [rename(r) for r in p.relators])
 
 
 def _disjointify(p1: Presentation, p2: Presentation) -> tuple[Presentation, Presentation]:
-    names1 = {g.name for g in p1.generators}
-    names2 = {g.name for g in p2.generators}
-    if names1 & names2:
+    if {name for name, _ in p1.index} & {name for name, _ in p2.index}:
         return _renamed(p1, "_1"), _renamed(p2, "_2")
     return p1, p2
 
@@ -268,7 +275,6 @@ def free_product(p1: Presentation, p2: Presentation) -> Presentation:
 def direct_product(p1: Presentation, p2: Presentation) -> Presentation:
     p1, p2 = _disjointify(p1, p2)
     relators = list(p1.relators) + list(p2.relators)
-    for g in p1.generators:
-        for h in p2.generators:
-            relators.append(commutator(Word([g]), Word([h])))
+    relators += [commutator(Word([g]), Word([h]))
+                 for g in p1.generators for h in p2.generators]
     return Presentation(list(p1.generators) + list(p2.generators), relators)

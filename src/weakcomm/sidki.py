@@ -186,13 +186,13 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
         x.ell_images[g_elem] = x.element(w).inverse() * x.element(bar_word(w))
 
     # --- structural checks -------------------------------------------------
-    L_sub_gens, L_sub = X._span(list(x.ell_images.values()))
+    L_sub = X.subgroup(list(x.ell_images.values()))
     x.check("L_generated_by_letter_differences",
-            len(L_sub) == L.order() and
-            all(g in L.elements() for g in L_sub_gens))
+            L_sub.order() == L.order() and all(g in L.elements() for g in L_sub.generators))
     # <l> is its normal closure iff X's generators conjugate its generators into it
     x.check("L_subgroup_equals_normal_closure",
-            all(g.inverse() * s * g in L_sub for s in L_sub_gens for g in X.generators))
+            all(g.inverse() * s * g in L_sub
+                for s in L_sub.generators for g in X.generators))
     x.check("D_normal_closure_equals_kernel",
             D_nc.order() == D.order() and
             all(g in D.elements() for g in D_nc.generators))
@@ -261,13 +261,12 @@ def _w_members(table: CosetTable, base_table: CosetTable) -> list[Word]:
     trivial third.  The base table is regular, so words are equal in G iff
     they reach one coset from coset 0.  The coordinates are traced along the
     breadth-first tree of ``coset_words``, one base-column step each per
-    coset, and words are spelled out for the members alone.
+    coset, and words are spelled out for the members alone.  Both tables'
+    columns come from their ``letter_columns``.
     """
-    base_columns = {(g.name, sign): base_table.columns[2 * i + (sign < 0)]
-                    for i, g in enumerate(base_table.generators) for sign in (1, -1)}
-    letters = [(GenSymbol(g.name, g.bar, sign), table.columns[2 * i + (sign < 0)],
-                base_columns[g.name, sign])
-               for i, g in enumerate(table.generators) for sign in (1, -1)]
+    base_columns = base_table.letter_columns
+    letters = [(GenSymbol(*key), col, base_columns[key[0], False, key[2]])
+               for key, col in table.letter_columns.items()]
     n = table.n_cosets
     coords: list[tuple[int, int, int] | None] = [None] * n
     parent = [0] * n

@@ -5,7 +5,8 @@ bar flag (``a`` vs ``a~`` in text form).  Words are immutable, freely reduced
 sequences of signed symbols.  Because every ``Word`` is reduced, a product
 cancels only across the junction of its two operands and an inverse is the
 reversed word with each letter inverted; neither re-reduces.  On top of the
-plain word algebra this module provides the structural letter maps of the
+plain word algebra (also on tuples of signed generator codes, ``mul_codes``
+and ``inverse_codes``) this module provides the structural letter maps of the
 weak-commutativity double: the copy swap ``bar``, the two coordinate
 projections ``pi`` / ``pibar``, and the three-coordinate embedding map
 ``rho`` defined letter-by-letter by
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetError, ArgumentError, ParseError
@@ -164,6 +165,20 @@ def _reduced_word(letters: tuple[GenSymbol, ...]) -> Word:
     w = object.__new__(Word)
     object.__setattr__(w, "letters", letters)
     return w
+
+
+def mul_codes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two reduced signed-code words: cancel at the junction."""
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    i, n, k = len(a), min(len(a), len(b)), 0
+    while k < n and a[i - 1 - k] == -b[k]:
+        k += 1
+    return a[:i - k] + b[k:]
+
+
+def inverse_codes(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(a)))
 
 
 def free_reduce(letters: Sequence[GenSymbol],

@@ -234,6 +234,15 @@ def test_wp_enumerates_the_base_once(enumerated, capsys):
     assert enumerated.count(parse_presentation(text)) == 1
 
 
+def test_wp_reports_a_repeated_word_alike(capsys):
+    word = "a^-1*b^-1*a^-1*a~*b*a~"
+    assert main(["wp", "-p", "< a, b | a^2, b^2, [a, b] >", "--word", word,
+                 "--word", word, "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    first, second = json.loads(out[out.index("{"):])["results"]
+    assert first["witness"] == second["witness"] == "{'n_cosets': 32, 'image_order': 2}"
+
+
 def test_infinite_base_doubles_without_enumerating(enumerated, capsys):
     assert main(["double", "-p", "< a | >", "--json", "-"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakcomm import decision
 from weakcomm.decision import (FiniteRealizationOracle, FreeAbelianOracle,
                                FreeGroupOracle, Verdict, WPOracle, WPSetup,
                                ball_sizes, growth_classifier,
@@ -77,6 +78,32 @@ def test_xg_kernel_nontrivial_word():
     w = parse_word("l_a * l_b", double.generators)
     v = xg_word_problem(setup, w)
     assert v.value == "nontrivial"
+
+
+def test_stage_two_verdict_does_not_depend_on_the_cached_table():
+    """The call that enumerates the double's table and a later call that
+    reads the cached table give the same witness."""
+    setup, double = make_setup("< a, b | a^2, b^2, [a, b] >")
+    w = parse_word("a^-1*b^-1*a^-1*a~*b*a~", double.generators)
+    first = xg_word_problem(setup, w)
+    assert setup.faithful is not None
+    second = xg_word_problem(setup, w)
+    assert first.value == second.value == "nontrivial"
+    assert first.reason == second.reason == "faithful enumeration of the double"
+    assert first.witness == second.witness == {"n_cosets": 32, "image_order": 2}
+    trivial = parse_word("[a, b~]^2", double.generators)
+    assert xg_word_problem(setup, trivial).witness == {"n_cosets": 32}
+
+
+def test_faithful_image_order_is_the_order_of_the_image():
+    """On a regular table the action is free, so the cycle of a word through
+    coset 0 is as long as the order of its whole image."""
+    _, double = make_setup("< a, b | a^2, b^2, (a*b)^3 >")
+    table = enumerate_cosets(double, [])
+    for w in reduced_words(double.generators, 3):
+        verdict = decision._faithful_verdict(table, w, {})
+        assert verdict.witness.get("image_order", 1) == \
+            table.word_image_unchecked(w).order()
 
 
 def test_verdict_unknown_raises_on_use():

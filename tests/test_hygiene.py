@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it,
 every function, class and method it defines has a caller outside the tests,
-and every name the benchmark tracer wraps exists."""
+every name the benchmark tracer wraps exists, and no module reads another
+module's private names."""
 
 import ast
 import importlib
@@ -112,3 +113,36 @@ def test_every_tracer_target_exists():
         if owner is None or attr not in vars(owner):
             missing.append(".".join(p for p in (layer, owner_name, attr) if p))
     assert missing == []
+
+
+def private_reads(path: Path) -> list[str]:
+    """A relative import of a private name, and a private attribute that the
+    module reads but defines nowhere (as a function, class, assignment or
+    parameter); dunder names are the language's and are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and \
+                isinstance(node.ctx, ast.Store):
+            defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [f"{path.stem}:{node.lineno} imports {alias.name}"
+                      for alias in node.names if private(alias.name)]
+        elif isinstance(node, ast.Attribute) and private(node.attr) and \
+                node.attr not in defined:
+            found.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert [f for path in MODULES for f in private_reads(path)] == []

@@ -137,3 +137,50 @@ def test_free_and_direct_products():
     s3 = parse_presentation(S3_TEXT)
     triple = direct_product(direct_product(s3, s3), s3)
     assert enumerate_cosets(triple, []).n_cosets == 216
+
+
+def test_index_numbers_the_generators_in_order():
+    p = parse_presentation("< b, a, a~, c | b^2, [a, a~] >")
+    assert p.index == {("b", False): 0, ("a", False): 1, ("a", True): 2,
+                       ("c", False): 3}
+    assert all(p.index[(g.name, g.bar)] == i for i, g in enumerate(p.generators))
+    double = sidki_double(parse_presentation(S3_TEXT), LengthBound(1))
+    assert list(double.index) == [("a", False), ("b", False), ("a", True), ("b", True)]
+
+
+def test_duplicate_generator_message():
+    a = GenSymbol("a")
+    for gens in ([a, GenSymbol("b"), a], [a, a.inverse()]):
+        with pytest.raises(ArgumentError, match=r"^duplicate generator a$"):
+            Presentation(gens, [])
+    with pytest.raises(ArgumentError, match=r"^duplicate generator a~$"):
+        Presentation([GenSymbol("a", True), a, GenSymbol("a", True)], [])
+
+
+@pytest.mark.parametrize("doc", [
+    '{"generators": ["a"], "relators": ["a^2"]',
+    '["a"]',
+    '{"relators": ["a^2"]}',
+    '{"generators": ["a"]}',
+    '{"generators": "ab", "relators": []}',
+    '{"generators": ["a", 1], "relators": []}',
+    '{"generators": ["a"], "relators": [["a"]]}',
+    '{"generators": ["a~~"], "relators": []}',
+    '{"generators": ["a b"], "relators": []}',
+    '{"generators": [""], "relators": []}',
+    '{"generators": ["a"], "relators": ["b"]}',
+], ids=["invalid-json", "not-an-object", "no-generators", "no-relators",
+        "generators-a-string", "generator-not-a-string", "relator-not-a-string",
+        "double-bar", "space-in-name", "empty-name", "undeclared-letter"])
+def test_presentation_from_json_rejects_what_the_parser_rejects(doc):
+    with pytest.raises(ParseError):
+        presentation_from_json(doc)
+
+
+def test_presentation_from_json_reads_names_as_the_parser_does():
+    q, meta = presentation_from_json(
+        '{"generators": ["a", "a~", "b_2"], "relators": ["[a, a~]", "b_2^3"]}')
+    assert q == parse_presentation("< a, a~, b_2 | [a, a~], b_2^3 >") and meta == {}
+    for bad in ("< a~~ | >", "< a b | >"):
+        with pytest.raises(ParseError):
+            parse_presentation(bad)

@@ -219,9 +219,16 @@ def test_an_orbit_one_point_short_fails_the_faithfulness_guard(monkeypatch):
     assert info.value.name == "faithful_realization"
 
 
-@pytest.mark.parametrize("name", list(SUITE_TEXT) + ["A5"])
+# C10 x| C4 with b acting by cubing: sending each generator to its inverse is
+# no automorphism of it, so a W-member trace that moves by the base column of
+# a letter's inverse finds another set there (one member, not two)
+W_TEXT = {"A5": "< a, b | a^2, b^3, (a*b)^5 >",
+          "C10:C4": "< a, b | a^10, b^4, b^-1*a*b*a^-3 >"}
+
+
+@pytest.mark.parametrize("name", list(SUITE_TEXT) + list(W_TEXT))
 def test_w_members_match_the_rho_word_reference(suite, name):
-    pres = suite.get(name) or parse_presentation("< a, b | a^2, b^3, (a*b)^5 >")
+    pres = suite.get(name) or parse_presentation(W_TEXT[name])
     _, base_table, _, _, table = sidki._split_copy(pres, 10 ** 6, 10 ** 5)
     assert sidki._w_members(table, base_table) == \
         oracles.rho_word_w_members(table, base_table)
