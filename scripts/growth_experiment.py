@@ -17,7 +17,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from weakcomm.decision import ball_sizes, growth_classifier, oracle_for_presentation
 from weakcomm.presentations import (AllElements, LengthBound,
                                     parse_presentation, sidki_double)
-from weakcomm.words import parse_word
+from weakcomm.words import Word
 
 CASES = [
     ("Z", "< a | >", LengthBound(1)),
@@ -28,8 +28,7 @@ CASES = [
 
 def measure(pres, radius):
     oracle, kind = oracle_for_presentation(pres)
-    gens = [parse_word(g.name + ("~" if g.bar else ""), pres.generators)
-            for g in pres.generators]
+    gens = [Word([g]) for g in pres.generators]
     sizes = ball_sizes(gens, oracle, radius)
     return kind, sizes, growth_classifier(sizes).label()
 

@@ -223,12 +223,9 @@ def _cmd_modules(args, config: RunConfig) -> int:
     print(f"W structure: s={wreport['s']} |N|={wreport['N_order']} "
           f"|M|={wreport['M_order']} ok={ok}")
     _emit({"command": "modules", "presentation": format_presentation(pres),
-           "consistency": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in consistency.items()},
-           "nil_equations": nil,
+           "consistency": consistency, "nil_equations": nil,
            "aug_action_matrices": [m.data for m in v.action_matrices],
-           "w_structure": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in wreport.items()}}, config)
+           "w_structure": wreport}, config)
     return 0 if ok else 1
 
 

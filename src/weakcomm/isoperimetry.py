@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import Callable, Sequence
 
 from .enumerator import signed_letters
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, ParseError, WeakcommError
 from .presentations import (Presentation, parse_presentation,
                             presentation_from_json, presentation_to_json)
 from .words import (GenSymbol, Word, commutator, format_word, inverse_codes,
@@ -143,7 +143,7 @@ def grid_certificate(n: int) -> AreaCertificate:
             factors.append(((b ** j) * (a ** i), 0, 1))
     cert = AreaCertificate(word, tuple(factors))
     if not check_certificate(GRID_PRESENTATION, cert):
-        raise ArgumentError("internal error: grid certificate failed its checker")
+        raise WeakcommError("grid certificate failed its checker")
     return cert
 
 
@@ -401,7 +401,7 @@ def central_transform(lifting: CentralLifting, cert: AreaCertificate
     out_word = cert.word * correction
     out = AreaCertificate(out_word, tuple(out_factors))
     if not check_certificate(total, out):
-        raise ArgumentError("internal error: transformed certificate failed its checker")
+        raise WeakcommError("transformed certificate failed its checker")
     mu = max((len(s) for s in lifting.sigmas), default=0)
     n = len(cert.word)
     d = max(cert.area, cert.radius)
@@ -485,7 +485,7 @@ def reduce_to_free_area(w: Word) -> tuple[Word, list[tuple[int, Word]]]:
     for s, t in thetas:
         acc = acc * (lam if s > 0 else lam.inverse()).conjugate(t)
     if acc != w:
-        raise ArgumentError("internal error: rewriting did not reproduce the word")
+        raise WeakcommError("rewriting did not reproduce the word")
     return v, thetas
 
 
@@ -520,7 +520,7 @@ def free_commutator_instance(w: Word) -> AreaCertificate:
     word = p_image(v).inverse() * p_image(w)
     cert = AreaCertificate(word, factors)
     if not check_certificate(GRID_PRESENTATION, cert):
-        raise ArgumentError("internal error: projected instance failed its checker")
+        raise WeakcommError("projected instance failed its checker")
     return cert
 
 

@@ -196,17 +196,6 @@ class PermGroup:
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements()
 
-    def random_element(self, rng) -> Perm:
-        """A product of 3 to 19 random generators, composed on image tuples."""
-        identity = tuple(range(self.degree))
-        pool = [g.img for g in self.generators] or [identity]
-        img = identity
-        for _ in range(rng.randrange(3, 20)):
-            g = rng.choice(pool)
-            # below degree 2 every permutation is g; itemgetter needs two indices
-            img = operator.itemgetter(*img)(g) if len(img) > 1 else g
-        return Perm(img)
-
     # -- subgroup machinery --------------------------------------------------
 
     def _span(self, elems: Iterable[Perm], gens: list[Perm] | None = None,

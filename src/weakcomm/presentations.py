@@ -196,11 +196,13 @@ def element_witnesses(table: CosetTable) -> list[Word]:
 
 def witness_words(p: Presentation, policy: WitnessPolicy,
                   max_cosets: int = 10 ** 6) -> list[Word]:
-    """The words w whose relator [w, bar w] enters the double."""
+    """The words w whose relator [w, bar w] enters the double; SizeGuardError,
+    before enumerating, for ``AllElements`` over a base of positive free rank."""
     if isinstance(policy, LengthBound):
         if policy.k < 1:
             raise ArgumentError("length bound must be >= 1")
         return _dedup_inverse_pairs(reduced_words(p.generators, policy.k)[1:])
+    require_finite(p, max_cosets)
     from .enumerator import enumerate_cosets
     return element_witnesses(enumerate_cosets(p, [], max_cosets=max_cosets))
 

@@ -16,8 +16,8 @@ generators of D and L and has order |D| |L| / |W| because D is normal, so
 it is never spanned; X itself is enumerated only by an element-wise check,
 the Engel scan.  The span of the letter differences is made once, and its
 normality read off its generators.  pi and rho are not kept: ``build``
-checks that the double's relators map to the identity under both, and
-reads their kernels off the blocks.
+checks that the double's relators map to the identity under rho, whose
+middle coordinate is pi, and reads their kernels off the blocks.
 W has one more routine, ``_w_members``, shared with ``perfect_base_report``:
 it reads the members of ker rho off the coset words.  A failing check aborts
 with a witness: it would indicate an implementation bug, not a mathematical
@@ -32,8 +32,8 @@ from random import Random
 from .enumerator import CosetTable, enumerate_cosets, perm_realization, signed_letters
 from .errors import ArgumentError, CheckFailure, SizeGuardError
 from .intlinalg import FinAbGroup
-from .permgroups import (GroupHom, Perm, PermGroup, block_perm, commutator,
-                         evaluate, quotient_realization)
+from .permgroups import (Perm, PermGroup, block_perm, commutator, evaluate,
+                         quotient_realization)
 from .presentations import (Presentation, double_presentation, element_witnesses,
                             require_finite, require_unbarred)
 from .words import GenSymbol, Word, bar_word, pi_word
@@ -156,17 +156,17 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     if X.order() != index * G.order():
         raise CheckFailure("faithful_realization", (X.order(), index * G.order()))
     D = X.pointwise_stabilizer([index, index + 2 * gdeg])
-    signed_relators = [signed_letters(double, r) for r in double.relators]
 
     ngens = len(pres.generators)
     x_images = list(X.generators[:ngens])
     xbar_images = list(X.generators[ngens:])
 
-    # pi: X -> G sends both copies of a generator to the generator, and
-    # rho: X -> G x G x G sends g -> (g, g, 1) and barg -> (1, g, g); each is
-    # well defined when the double's relators map to the identity
-    GroupHom(X, G, list(G.generators) + list(G.generators), relators=signed_relators)
-    GroupHom(X, im_rho, im_rho.generators, relators=signed_relators)
+    # rho sends g -> (g, g, 1) and barg -> (1, g, g), and pi is its middle
+    # block: both are well defined iff every relator maps to 1 under rho
+    for r in double.relators:
+        if not evaluate(im_rho.generators, signed_letters(double, r),
+                        im_rho.degree).is_identity():
+            raise CheckFailure("rho_well_defined", r)
 
     D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 
@@ -199,10 +199,10 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     x.check("D_commutes_with_L", D.centralizes(L))
     rng = Random(rng_seed)
+    d_members, l_members = list(D.elements()), list(L.elements())
     bad_pair = None
     for _ in range(32):
-        d = D.random_element(rng)
-        l = L.random_element(rng)
+        d, l = rng.choice(d_members), rng.choice(l_members)
         if d * l != l * d:
             bad_pair = (d, l)
             break

@@ -300,6 +300,8 @@ def module_M(group: PermGroup, guard: int | None = None) -> QModule:
     With A the maximal abelian quotient of the derived subgroup, this is
     (A (x) A) modulo the antidiagonal conjugation action of the
     abelianization, with the residual action through the first factor.
+    On generators e_{i,j} at i*k + j, as ``_kron`` lays them out, A's
+    relations Lambda give the columns of Lambda (x) I and I (x) Lambda.
     """
     limit = group.guard if guard is None else guard
     derived = group.derived_subgroup()
@@ -307,21 +309,10 @@ def module_M(group: PermGroup, guard: int | None = None) -> QModule:
     section = module_from_abelian_quotient(
         derived, second, derived.generators, group.generators, guard=limit)
     k = section.module.n
-    lattice = section.module.relations
-    # tensor-square generators e_{i,j}; index (i, j) -> i*k + j
-    relations: list[Vector] = []
-    for lam in lattice:
-        for j in range(k):
-            vec = [0] * (k * k)
-            for r in range(k):
-                vec[r * k + j] = lam[r]
-            relations.append(tuple(vec))
-        for i in range(k):
-            vec = [0] * (k * k)
-            for c in range(k):
-                vec[i * k + c] = lam[c]
-            relations.append(tuple(vec))
+    lattice = IntMatrix.from_columns(section.module.relations, k)
     identity_k = IntMatrix.identity(k)
+    relations: list[Vector] = [tuple(m.column(j)) for m in (
+        _kron(lattice, identity_k), _kron(identity_k, lattice)) for j in range(m.cols)]
     # antidiagonal coinvariants: quotient by x*(q, q^-1) - x per acting generator
     for t in group.generators:
         cq = section.matrix_of(t)

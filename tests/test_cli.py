@@ -9,9 +9,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakcomm import cli, decision, enumerator, sidki
+from weakcomm import cli, decision, enumerator, isoperimetry, sidki
 from weakcomm.cli import main
-from weakcomm.errors import AlphabetError, WeakcommError
+from weakcomm.errors import AlphabetError, CheckFailure, WeakcommError
 from weakcomm.presentations import AllElements, parse_presentation, sidki_double
 
 
@@ -296,6 +296,50 @@ def test_library_errors_end_in_their_exit_code(monkeypatch, capsys, error, code,
     captured = capsys.readouterr()
     assert captured.err == f"{label}: {error}\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_a_relator_that_fails_under_rho_is_a_failed_check(monkeypatch, capsys):
+    """rho's middle block is pi, so one relator check under rho covers both
+    maps; a relator that fails it ends in exit 1, not a usage error."""
+    real = sidki.signed_letters
+    monkeypatch.setattr(sidki, "signed_letters", lambda p, w: real(p, w) + (1,))
+    text = "< a, b | a^2, b^2, (a*b)^3 >"
+    with pytest.raises(CheckFailure) as failure:
+        sidki.build(parse_presentation(text))
+    assert failure.value.name == "rho_well_defined"
+    assert main(["verify", "-p", text]) == 1
+    assert capsys.readouterr().err.startswith("check failed: check 'rho_well_defined'")
+
+
+def test_a_certificate_that_fails_its_own_checker_is_an_internal_error(
+        monkeypatch, capsys):
+    monkeypatch.setattr(isoperimetry, "check_certificate", lambda pres, cert: False)
+    assert main(["area", "--grid", "3"]) == 4
+    assert capsys.readouterr().err == \
+        "internal error: grid certificate failed its checker\n"
+
+
+def test_double_falls_back_to_short_witnesses_when_the_base_overflows(capsys):
+    assert main(["double", "-p", "< a, b | a^2, b^3, (a*b)^5 >",
+                 "--max-cosets", "30", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("\n{") + 1:])
+    assert doc["meta"] == {"witness_policy": "len:2", "may_be_preimage": True}
+
+
+def test_wp_over_bounded_witnesses_builds_the_base_oracle(enumerated, capsys):
+    """With --witness len:k the base table is not enumerated for the double,
+    so wp picks the base's oracle itself."""
+    text = "< a | a^2 >"
+    assert main(["wp", "-p", text, "--witness", "len:1", "--word", "a*a~",
+                 "--word", "[a, a~]", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    assert doc["oracle"] == "finite"
+    assert [(r["verdict"], r["reason"]) for r in doc["results"]] == [
+        ("nontrivial", "rho coordinate nontrivial"),
+        ("trivial", "explicit area certificate")]
+    assert enumerated.count(parse_presentation(text)) == 1
 
 
 def test_wp_unknown_exit_code(capsys):

@@ -8,8 +8,9 @@ from weakcomm.decision import (FiniteRealizationOracle, FreeAbelianOracle,
                                FreeGroupOracle, Verdict, WPOracle, WPSetup,
                                ball_sizes, growth_classifier,
                                oracle_for_presentation, xg_word_problem)
-from weakcomm.enumerator import enumerate_cosets
+from weakcomm.enumerator import enumerate_cosets, signed_letters
 from weakcomm.errors import ArgumentError, WeakcommError
+from weakcomm.permgroups import evaluate
 from weakcomm.presentations import (AllElements, LengthBound,
                                     parse_presentation, sidki_double)
 from weakcomm.words import GenSymbol, Word, parse_word, reduced_words
@@ -104,6 +105,53 @@ def test_faithful_image_order_is_the_order_of_the_image():
         verdict = decision._faithful_verdict(table, w, {})
         assert verdict.witness.get("image_order", 1) == \
             table.word_image_unchecked(w).order()
+
+
+def test_a_coset_quotient_decides_a_kernel_word():
+    """A member of ker rho in X(A4), of order 1152: at lap 2 the full
+    enumeration overflows its budget of 1024 cosets, and the 576 cosets of
+    <a> tell the word from 1."""
+    setup, double = make_setup("< a, b | a^2, b^3, (a*b)^3 >")
+    w = parse_word("a^-1*b*a^-1*b^-1*a^-1*a~*b*a*b^-1*a~", double.generators)
+    v = xg_word_problem(setup, w)
+    assert (v.value, v.reason, v.witness) == (
+        "nontrivial", "nontrivial in a coset quotient",
+        {"quotient": "cosets-of-<a>", "index": 576})
+    assert setup.faithful is None
+    assert xg_word_problem(setup, w) == v       # again, on the kept quotients
+    assert not enumerate_cosets(double, []).is_trivial_word(w)
+
+
+def test_a_symmetric_group_image_decides_a_kernel_word():
+    """Over the len:1 double of the free group F2 no coset quotient closes
+    within the budget, and a random image in S4 tells [ab, ~a~b] from 1."""
+    base = parse_presentation("< a, b | >")
+    double = sidki_double(base, LengthBound(1))
+    setup = WPSetup(base, oracle_for_presentation(base)[0], double)
+    w = parse_word("[a*b, a~*b~]", double.generators)
+    v = xg_word_problem(setup, w)
+    assert (v.value, v.reason, v.witness) == (
+        "nontrivial", "nontrivial in a symmetric-group image", {"degree": 4})
+    assert setup.partial_quotients == []
+    # the first image that moves w is a homomorphism: it kills every relator
+    code = signed_letters(double, w)
+    degree, images = next((d, im) for d, im in setup.random_quotients
+                          if not evaluate(im, code, d).is_identity())
+    assert degree == 4
+    assert all(evaluate(images, signed_letters(double, r), 4).is_identity()
+               for r in double.relators)
+
+
+def test_a_kernel_word_beyond_every_search_ends_unknown():
+    """[a^2, a~^2] is trivial in X(Z) = Z^2 but has area 4, beyond the area
+    search's 3; Z^2 is infinite and every image of it abelian, so the search
+    stops at lap 2, whose enumeration budget reaches the whole budget."""
+    base = parse_presentation("< a | >")
+    double = sidki_double(base, LengthBound(1))
+    setup = WPSetup(base, oracle_for_presentation(base)[0], double)
+    v = xg_word_problem(setup, parse_word("[a^2, a~^2]", double.generators),
+                        budget=1024)
+    assert (v.value, v.budget_spent) == ("unknown", {"area_laps": 3, "enum_budget": 1024})
 
 
 def test_verdict_unknown_raises_on_use():

@@ -48,6 +48,12 @@ CASES = {
     "wp-stage1:S3": ["wp", "-p", BASES["S3"], "--word", "a*b~", "--json", "-"],
     "wp-stage2:C2xC2": ["wp", "-p", BASES["C2xC2"], "--word", "[a,b~]",
                         "--json", "-"],
+    "wp-coset-quotient:A4": ["wp", "-p", BASES["A4"], "--word",
+                             "a^-1*b*a^-1*b^-1*a^-1*a~*b*a*b^-1*a~", "--json", "-"],
+    "wp-symmetric-image:F2": ["wp", "-p", "< a, b | >", "--witness", "len:1",
+                              "--word", "[a*b, a~*b~]", "--json", "-"],
+    "wp-base-oracle:C2": ["wp", "-p", BASES["C2"], "--witness", "len:1",
+                          "--word", "a*a~", "--word", "[a, a~]", "--json", "-"],
     "growth:F2": ["growth", "-p", "< a, b | >", "--json", "-"],
     "growth:X(Z)": ["growth", "-p", "< a | >", "--double", "--json", "-"],
     "growth:X(S3)": ["growth", "-p", BASES["S3"], "--double", "--json", "-"],
@@ -60,6 +66,8 @@ CASES = {
        for s in ("hlt", "felsch") for name in ("S3", "D4")},
     "double:S3": ["double", "-p", BASES["S3"], "--json", "-"],
     "double:Z": ["double", "-p", "< a | >", "--json", "-"],
+    "double-overflow:A5": ["double", "-p", "< a, b | a^2, b^3, (a*b)^5 >",
+                           "--max-cosets", "30", "--json", "-"],
     "parse:S3": ["parse", "-p", BASES["S3"], "--json", "-"],
     "parse:Z2": ["parse", "-p", "< a, b | [a, b] >", "--json", "-"],
 }
@@ -108,6 +116,9 @@ DIGESTS = {
     'wp-trivial:S3': '64698c16aa7f8c7588ac29d0e086213ad7a4d50636c141c36d5d523b44d50331',
     'wp-stage1:S3': '83f65a2a42435bab28bb0570930a874ecbf427dc0f12078d10299e3c5339f699',
     'wp-stage2:C2xC2': 'fa4dc20bba8713cfee9573f92e5aafcbb4702613c1478ae2117539b84e7336f3',
+    'wp-coset-quotient:A4': 'c30f1b7ac72fdab32a8826ace4f976851aa58d5e97aab95bfcb7cdfd6039bfb7',
+    'wp-symmetric-image:F2': '82f52773359697943caac6436d875eb01482b38020001cf318acd4d8a7b3a38b',
+    'wp-base-oracle:C2': 'c9ba3b08866d757d657e4e4b16aef67b2ec97d2dc134324276030b4aa451d765',
     'growth:F2': '246a6a3e1da97df8bb5072f4c0c8e4b4342b802ff79de7898071a927d7df8dbc',
     'growth:X(Z)': '86068d825a35f25fd94407902e161d656a51851fa65bfbe8902836dbd1e91440',
     'growth:X(S3)': '782636d6435fd1e35808946ce02375cbc474bcf25584970111129dff959f8ab2',
@@ -131,6 +142,7 @@ DIGESTS = {
     'realize-felsch:D4': '07200024efe5219a82b61549c2e9ab1b085965e2f0c9398a6f071e67d3bbe2f7',
     'double:S3': '12c1b2148388c4fc66b76a81ef87dba2099a1542301fa8e4a1c645c50ddb41a2',
     'double:Z': 'b5fdc27633da529548606bcca73bc67806bc784033ebf5326be540d26af38707',
+    'double-overflow:A5': '3d5b0a8f1979363a4f015dd42b56f1ece6aef30f7bf3d7ca6398cab8b121a6b4',
     'parse:S3': '80236b523221ea26c8540289c53841171111a1a174d7a2704e22ecd23acb8d49',
     'parse:Z2': '5a38b52d868eed99b3ab3aed8ee051c849391d72391e0d2f7543b18c06b748bc',
 }

@@ -284,6 +284,42 @@ def test_central_transform_with_inverse_factors():
     assert report["central_correction"] == "c"
 
 
+@pytest.mark.parametrize("sigma", ["c", "c^-1"])
+def test_central_transform_commutes_every_sign_of_letter(monkeypatch, sigma):
+    """Conjugators with letters of both signs, in factors of both signs,
+    against a correction word c or c^-1: the transform commutes a base letter
+    past a central letter in all four sign cases."""
+    seen = set()
+    real = isoperimetry._letter_commutator_factor
+
+    def spy(lifting, central, other):
+        seen.add((other.sign, central.sign))
+        return real(lifting, central, other)
+
+    monkeypatch.setattr(isoperimetry, "_letter_commutator_factor", spy)
+    factors = ((word("a*b^-1"), 0, 1), (word("a^-1*b"), 0, -1))
+    product = AreaCertificate(Word(), factors).product_word(GRID_PRESENTATION)
+    cert = AreaCertificate(product, factors)
+    lift = central_extension_presentation(
+        GRID_PRESENTATION, ["c"], [parse_word(sigma, [GenSymbol("c")])])
+    out, report = central_transform(lift, cert)
+    assert seen == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert check_certificate(lift.total, out)
+    assert report["within_bound"]
+
+
+def test_central_transform_with_two_central_generators():
+    """Two central generators add their commutator [c, d] to the relators."""
+    central = [GenSymbol("c"), GenSymbol("d")]
+    lift = central_extension_presentation(
+        GRID_PRESENTATION, ["c", "d"], [parse_word("c^-1*d", central)])
+    assert lift.total.relators[lift.comm_index["c", "d"]] == \
+        commutator(Word([central[0]]), Word([central[1]]))
+    out, report = central_transform(lift, grid_certificate(2))
+    assert check_certificate(lift.total, out)
+    assert report["within_bound"]
+
+
 def test_c_n_spelling():
     for n in range(1, 9):
         letters = c_n_letters(n)

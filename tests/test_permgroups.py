@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,10 +98,8 @@ def test_normal_closure_conjugation_invariant():
     s3 = s3_regular()
     a3 = s3.normal_closure([s3.generators[0] * s3.generators[1]])
     assert a3.order() == 3
-    rng = random.Random(5)
     elems = set(a3.elements())
-    for _ in range(20):
-        g = s3.random_element(rng)
+    for g in s3.elements():
         for x in a3.generators:
             assert x.conjugate(g) in elems
     sub = s3.subgroup([s3.generators[0]])

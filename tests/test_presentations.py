@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from weakcomm import enumerator
 from weakcomm.enumerator import enumerate_cosets
-from weakcomm.errors import ArgumentError, EnumerationOverflow, ParseError
+from weakcomm.errors import (ArgumentError, EnumerationOverflow, ParseError,
+                             SizeGuardError)
 from weakcomm.intlinalg import FinAbGroup
 from weakcomm.presentations import (AllElements, LengthBound, Presentation,
                                     abelianization, direct_product,
@@ -103,6 +105,12 @@ def test_double_s3_bounded_witnesses():
     assert full == lb2 == 108
     with pytest.raises(EnumerationOverflow):
         enumerate_cosets(sidki_double(p, LengthBound(1)), [], max_cosets=50_000)
+
+
+def test_double_over_all_elements_refuses_an_infinite_base(monkeypatch):
+    monkeypatch.setattr(enumerator, "enumerate_cosets", None)  # refused before enumerating
+    with pytest.raises(SizeGuardError, match="free rank 2"):
+        sidki_double(parse_presentation("< a, b | [a, b] >"), AllElements())
 
 
 def test_double_rejects_barred_input():
