@@ -4,13 +4,15 @@ Every command reads a presentation (inline via -p or from a file), runs one
 pipeline, prints a human summary to stdout, and can write a versioned JSON
 report.  Exit codes: 0 all asserted checks pass; 1 a mathematical assertion
 failed (witness in the report); 2 budget or guard exhausted, including a
-group that is infinite because its free rank is positive and an input that
-runs out of memory (``budget exhausted: out of memory``); 3 usage error,
-including an unknown flag or one the command does not read, a flag value of
-the wrong type, a file that cannot be read, decoded or written, malformed JSON
-in ``--config`` or a ``--check`` certificate, a config value of the wrong
-type, and a word over letters outside the alphabet; 4 internal error, any
-other ``WeakcommError``, with a one-line message on stderr.
+group that is infinite because its free rank is positive, refused before any
+enumeration (an explicit ``--witness all`` on an infinite base too), and an
+input that runs out of memory (``budget exhausted: out of memory``); 3 usage
+error, including an unknown flag or one the command does not read, a flag
+value of the wrong type, a file that cannot be read, decoded or written,
+malformed JSON in ``--config`` or a ``--check`` certificate, a config value of
+the wrong type, a ``--radius`` below 3 (growth needs four ball sizes), and a
+word over letters outside the alphabet; 4 internal error, any other
+``WeakcommError``, with a one-line message on stderr.
 Each command takes only the shared limits it reads (--witness, --max-cosets,
 --guard, --budget, --radius); ``--config`` accepts every one of them.
 Reports embed the configuration and are byte-identical for identical runs.
@@ -36,10 +38,9 @@ from .isoperimetry import (AreaCertificate, GRID_PRESENTATION,
                            check_certificate, grid_certificate,
                            minimal_area_search)
 from .presentations import (AllElements, LengthBound, Presentation,
-                            abelianization, double_presentation,
-                            element_witnesses, format_presentation,
-                            parse_presentation, presentation_to_json,
-                            require_finite, require_unbarred, sidki_double)
+                            abelianization, double_and_base_table,
+                            format_presentation, parse_presentation,
+                            presentation_to_json, require_finite)
 from .words import Word, parse_word
 
 SCHEMA_VERSION = 1
@@ -66,8 +67,8 @@ class RunConfig:
         for name in ("max_cosets", "guard", "budget"):
             if getattr(self, name) <= 0:
                 raise ArgumentError(f"--{name.replace('_', '-')} must be positive")
-        if self.radius < 0:
-            raise ArgumentError("--radius must be >= 0")
+        if self.radius < 3:
+            raise ArgumentError("--radius must be >= 3: growth needs four ball sizes")
 
 
 def _fin_ab(g: FinAbGroup) -> dict:
@@ -101,28 +102,20 @@ def _resolve_double(pres: Presentation, config: RunConfig
                     ) -> tuple[Presentation, dict, CosetTable | None]:
     """Double the presentation under the configured witness policy.
 
-    Default policy: one witness per element when the base enumerates within
-    budget; otherwise, or at once when its free rank is positive (the base is
-    infinite), fall back to words of length <= 2, flagging that the result
-    may present a proper pre-image of the double.  The regular table of the
-    base comes back when it was enumerated, None otherwise.
+    Default policy: one witness per element when the base is finite and
+    enumerates within budget; otherwise fall back to words of length <= 2,
+    flagging that the result may present a proper pre-image of the double.
+    The regular table of the base comes back when it was enumerated, None
+    otherwise.
     """
-    policy = AllElements() if config.witness is None else _parse_witness(config.witness)
-    if config.witness is None and abelianization(pres).free_rank:
+    policy = _parse_witness(config.witness)
+    try:
+        doubled, base_table = double_and_base_table(pres, policy, config.max_cosets)
+    except (SizeGuardError, EnumerationOverflow):
+        if config.witness is not None:
+            raise
         policy = LengthBound(2)
-    base_table = None
-    if isinstance(policy, AllElements):
-        require_unbarred(pres)  # before enumerating the base
-        try:
-            base_table = enumerate_cosets(pres, [], max_cosets=config.max_cosets)
-        except EnumerationOverflow:
-            if config.witness is not None:
-                raise
-            policy = LengthBound(2)
-    if base_table is None:
-        doubled = sidki_double(pres, policy, max_cosets=config.max_cosets)
-    else:
-        doubled = double_presentation(pres, element_witnesses(base_table))
+        doubled, base_table = double_and_base_table(pres, policy, config.max_cosets)
     meta = {"witness_policy": policy.label(),
             "may_be_preimage": isinstance(policy, LengthBound)}
     return doubled, meta, base_table
@@ -384,11 +377,10 @@ def main(argv: list[str] | None = None) -> int:
                     if not hasattr(config, attr):
                         raise ArgumentError(f"unknown config key {key!r}")
                     setattr(config, attr, value)
-        for attr in ("max_cosets", "guard", "budget", "radius", "witness",
-                     "json_path"):
-            value = getattr(args, attr, None)
+        for f in fields(config):
+            value = getattr(args, f.name, None)
             if value is not None:
-                setattr(config, attr, value)
+                setattr(config, f.name, value)
         config.validate()
         return _COMMANDS[args.command](args, config)
     except (ParseError, ArgumentError, AlphabetError, OSError,

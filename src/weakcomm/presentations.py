@@ -8,7 +8,10 @@ w, the relator ``[w, bar(w)]``.  With the ``AllElements`` policy (one
 witness per element of a finite group, obtained from a coset enumeration)
 the double presents the weak-commutativity group exactly; with
 ``LengthBound(k)`` it presents a group that may be a proper pre-image,
-which callers must surface.
+which callers must surface.  One function, ``double_and_base_table``,
+builds every double; it also returns the regular base table that it read
+the witnesses off, which ``sidki_double`` drops.  It refuses a barred base,
+and an infinite one under ``AllElements``, before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -170,63 +173,49 @@ def presentation_from_json(text: str) -> tuple[Presentation, dict]:
 
 # -- the double ---------------------------------------------------------------
 
-def _dedup_inverse_pairs(words: list[Word]) -> list[Word]:
-    # [w, bar w] and [w^-1, bar(w)^-1] are consequences of each other
-    kept: list[Word] = []
-    seen: set[Word] = set()
-    for w in words:
-        if w in seen or w.inverse() in seen:
-            continue
-        seen.add(w)
-        kept.append(w)
-    return kept
-
-
-def element_witnesses(table: CosetTable) -> list[Word]:
-    """One witness per non-identity element g of a finite group, dropping g
-    when g^-1 is already taken, read off its regular coset table."""
-    kept, taken = [], set()
-    for c, w in enumerate(table.coset_words()):
-        if c == 0 or table.trace_word(0, w.inverse()) in taken:
-            continue
-        taken.add(c)
-        kept.append(w)
-    return kept
-
-
-def witness_words(p: Presentation, policy: WitnessPolicy,
-                  max_cosets: int = 10 ** 6) -> list[Word]:
-    """The words w whose relator [w, bar w] enters the double; SizeGuardError,
-    before enumerating, for ``AllElements`` over a base of positive free rank."""
-    if isinstance(policy, LengthBound):
-        if policy.k < 1:
-            raise ArgumentError("length bound must be >= 1")
-        return _dedup_inverse_pairs(reduced_words(p.generators, policy.k)[1:])
-    require_finite(p, max_cosets)
-    from .enumerator import enumerate_cosets
-    return element_witnesses(enumerate_cosets(p, [], max_cosets=max_cosets))
-
-
 def require_unbarred(p: Presentation) -> None:
     if any(g.bar for g in p.generators):
         raise ArgumentError("presentation already contains barred generators")
 
 
-def double_presentation(p: Presentation, witnesses: Sequence[Word]) -> Presentation:
-    """Generators X u barred X, relators R u bar(R) u {[w, bar w] : w in
-    witnesses}."""
+def double_and_base_table(p: Presentation, policy: WitnessPolicy,
+                          max_cosets: int = 10 ** 6
+                          ) -> tuple[Presentation, CosetTable | None]:
+    """The double: generators X u barred X, relators R u bar(R) u
+    {[w, bar w] : w a witness}, and the regular base table the witnesses
+    were read off, or None.  The witnesses are one word per non-identity
+    element of the base (``AllElements``), or the reduced words of length
+    1..k (``LengthBound(k)``), in both cases without w when w^-1 is taken.
+    Before any enumeration: ArgumentError for a barred generator, then
+    SizeGuardError for ``AllElements`` over a base of positive free rank."""
     require_unbarred(p)
+    base_table = None
+    if isinstance(policy, LengthBound):
+        if policy.k < 1:
+            raise ArgumentError("length bound must be >= 1")
+        words, key = reduced_words(p.generators, policy.k)[1:], lambda w: w
+    else:
+        require_finite(p, max_cosets)
+        from .enumerator import enumerate_cosets
+        base_table = enumerate_cosets(p, [], max_cosets=max_cosets)
+        words = base_table.coset_words()[1:]
+        key = lambda w: base_table.trace_word(0, w)
+    # [w, bar w] and [w^-1, bar(w)^-1] are consequences of each other
+    witnesses, taken = [], set()
+    for w in words:
+        if key(w.inverse()) not in taken:
+            taken.add(key(w))
+            witnesses.append(w)
     gens = list(p.generators) + [GenSymbol(g.name, bar=True) for g in p.generators]
     relators = list(p.relators) + [bar_word(r) for r in p.relators]
     relators += [commutator(w, bar_word(w)) for w in witnesses]
-    return Presentation(gens, relators)
+    return Presentation(gens, relators), base_table
 
 
 def sidki_double(p: Presentation, policy: WitnessPolicy,
                  max_cosets: int = 10 ** 6) -> Presentation:
-    """Double the presentation over the witness set of the policy."""
-    require_unbarred(p)  # before enumerating the base
-    return double_presentation(p, witness_words(p, policy, max_cosets=max_cosets))
+    """The double alone, as ``double_and_base_table`` builds it."""
+    return double_and_base_table(p, policy, max_cosets)[0]
 
 
 # -- abelian invariants and products ------------------------------------------

@@ -34,8 +34,8 @@ from .errors import ArgumentError, CheckFailure, SizeGuardError
 from .intlinalg import FinAbGroup
 from .permgroups import (Perm, PermGroup, block_perm, commutator, evaluate,
                          quotient_realization)
-from .presentations import (Presentation, double_presentation, element_witnesses,
-                            require_finite, require_unbarred)
+from .presentations import (AllElements, Presentation, abelianization,
+                            double_and_base_table, require_finite)
 from .words import GenSymbol, Word, bar_word, pi_word
 from . import zqmodules
 
@@ -107,16 +107,14 @@ def _split_copy(pres: Presentation, max_cosets: int, guard: int
                 ) -> tuple[FinAbGroup, CosetTable, PermGroup, Presentation, CosetTable]:
     """Q, the regular base table, G, the double and the table of the cosets
     of the split copy <x : x in X> in the double, which biject with the
-    letter-difference kernel L.  The base is enumerated once; its table also
-    supplies the witnesses of the double.  SizeGuardError, before any
-    enumeration, when the base has positive free rank."""
-    Q = require_finite(pres, max_cosets)
-    base_table = enumerate_cosets(pres, [], max_cosets=max_cosets)
+    letter-difference kernel L.  ``double_and_base_table`` enumerates the
+    base once and reads the double's witnesses off its table; it refuses a
+    barred base, then one of positive free rank, before any enumeration."""
+    double, base_table = double_and_base_table(pres, AllElements(), max_cosets)
     G = perm_realization(base_table, guard=guard)
-    double = double_presentation(pres, element_witnesses(base_table))
     table = enumerate_cosets(double, [Word([g]) for g in pres.generators],
                              max_cosets=max_cosets)
-    return Q, base_table, G, double, table
+    return abelianization(pres), base_table, G, double, table
 
 
 def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
@@ -136,7 +134,6 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     generators.  SizeGuardError, before any enumeration, when the base has
     positive free rank.
     """
-    require_unbarred(pres)  # before enumerating the base
     Q, base_table, G, double, table = _split_copy(pres, max_cosets, guard)
     G_words = base_table.coset_words()
     G_elements = [base_table.word_image(pres, w) for w in G_words]

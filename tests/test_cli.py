@@ -249,11 +249,29 @@ def test_infinite_base_doubles_without_enumerating(enumerated, capsys):
     assert enumerated == []
     doc = json.loads(out[out.index("\n{") + 1:])
     assert doc["meta"] == {"witness_policy": "len:2", "may_be_preimage": True}
-    # an explicit policy still enumerates, up to the budget
+    # an explicit policy is refused before enumerating, whatever the budget
     assert main(["double", "-p", "< a | >", "--witness", "all",
                  "--max-cosets", "50"]) == 2
-    assert len(enumerated) == 1
+    assert enumerated == []
     assert "budget exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["double"], ["realize", "--double"], ["wp", "--word", "a*a~"],
+    ["growth", "--double", "--radius", "3"],
+], ids=["double", "realize", "wp", "growth"])
+def test_every_double_refuses_an_infinite_base_before_enumerating(
+        enumerated, capsys, argv):
+    assert main(argv + ["--witness", "all", "-p", "< a, b | [a, b] >"]) == 2
+    assert "free rank 2" in capsys.readouterr().err
+    assert enumerated == []
+
+
+def test_growth_refuses_a_radius_below_three_before_enumerating(enumerated, capsys):
+    assert main(["growth", "--double", "-p", "< a, b | a^2, b^3, (a*b)^4 >",
+                 "--radius", "2"]) == 3
+    assert "four ball sizes" in capsys.readouterr().err
+    assert enumerated == []
 
 
 def test_growth_of_an_infinite_double_fails_fast(capsys):

@@ -9,10 +9,10 @@ from weakcomm.errors import (ArgumentError, EnumerationOverflow, ParseError,
 from weakcomm.intlinalg import FinAbGroup
 from weakcomm.presentations import (AllElements, LengthBound, Presentation,
                                     abelianization, direct_product,
-                                    format_presentation, free_product,
-                                    parse_presentation, presentation_from_json,
-                                    presentation_to_json, sidki_double,
-                                    witness_words)
+                                    double_and_base_table, format_presentation,
+                                    free_product, parse_presentation,
+                                    presentation_from_json, presentation_to_json,
+                                    sidki_double)
 from weakcomm.words import GenSymbol, Word, commutator, parse_word
 
 from .oracles import closure, pcompose, s3_generators
@@ -86,6 +86,12 @@ def test_double_of_z_length_bound_one():
 
 
 def test_witness_dedup_inverse_pairs():
+    def witness_words(base, policy):
+        """The w of each relator [w, bar w] = w^-1 bar(w)^-1 w bar(w) that
+        the double adds after R and bar(R)."""
+        relators = sidki_double(base, policy).relators[2 * len(base.relators):]
+        return [Word(list(r)[len(r) // 2:3 * len(r) // 4]) for r in relators]
+
     c4 = parse_presentation("< a | a^4 >")
     ws = witness_words(c4, AllElements())
     # elements a, a^2, a^3; a^3 = (a)^-1 is dropped
@@ -93,6 +99,16 @@ def test_witness_dedup_inverse_pairs():
     z = parse_presentation("< a | >")
     ws = witness_words(z, LengthBound(2))
     assert ws == [Word([GenSymbol("a")]), Word([GenSymbol("a")]) ** 2]
+
+
+def test_double_comes_with_the_base_table_its_witnesses_were_read_off():
+    p = parse_presentation(S3_TEXT)
+    double, table = double_and_base_table(p, AllElements())
+    assert table.to_json() == enumerate_cosets(p, []).to_json()
+    assert double == sidki_double(p, AllElements())
+    double, table = double_and_base_table(p, LengthBound(2))
+    assert table is None
+    assert double == sidki_double(p, LengthBound(2))
 
 
 def test_double_s3_bounded_witnesses():

@@ -339,6 +339,14 @@ def test_perfect_base_report_rejects_non_perfect_base(monkeypatch):
         sidki.perfect_base_report(parse_presentation("< a, b | a^2, b^2, (a*b)^3 >"))
 
 
+def test_perfect_base_report_rejects_barred_base_before_enumerating(monkeypatch):
+    monkeypatch.setattr(enumerator, "enumerate_cosets", None)
+    monkeypatch.setattr(sidki, "enumerate_cosets", None)
+    with pytest.raises(ArgumentError):
+        sidki.perfect_base_report(
+            parse_presentation("< a~, b~ | a~^2, b~^3, (a~*b~)^5 >"))
+
+
 def test_each_pipeline_enumerates_the_base_once(monkeypatch):
     enumerated = []
     real = enumerator.enumerate_cosets
@@ -366,6 +374,7 @@ def test_build_enumerates_no_double_regularly(monkeypatch):
             regular.append(pres)
         return real(pres, subgens, **kwargs)
 
+    monkeypatch.setattr(enumerator, "enumerate_cosets", counting)
     monkeypatch.setattr(sidki, "enumerate_cosets", counting)
     base = parse_presentation(SUITE_TEXT["S3"])
     x = sidki.build(base)
