@@ -30,7 +30,7 @@ from typing import Sequence
 from .enumerator import CosetTable, enumerate_cosets, signed_letters
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
 from .isoperimetry import minimal_area_search
-from .permgroups import Perm, evaluate
+from .permgroups import Perm, evaluate, failing_relator
 from .presentations import (Presentation, exponent_matrix, require_finite,
                             require_unbarred)
 from .words import GenSymbol, Word, commutator, mul_codes, rho_word
@@ -199,13 +199,12 @@ def _build_partial_quotients(setup: WPSetup, budget: int) -> None:
             continue
     rng = random.Random(20240901)
     rel_letters = [signed_letters(setup.double, r) for r in setup.double.relators]
-    k = len(setup.double.generators)
     for degree in (4, 5, 6, 7):
         for _ in range(200):
-            images = [Perm(rng.sample(range(degree), degree)) for _ in range(k)]
-            if all(evaluate(images, r, degree).is_identity() for r in rel_letters):
-                if any(not p.is_identity() for p in images):
-                    setup.random_quotients.append((degree, images))
+            images = [Perm(rng.sample(range(degree), degree)) for _ in setup.double.generators]
+            if (failing_relator([p.img for p in images], rel_letters) is None
+                    and any(not p.is_identity() for p in images)):
+                setup.random_quotients.append((degree, images))
         if len(setup.random_quotients) >= 8:
             break
 

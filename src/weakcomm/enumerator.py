@@ -20,8 +20,8 @@ lists it reads forward and backward.  One scan loop indexes those: HLT's
 relator and lookahead passes, both strategies' subgroup-word scans and
 Felsch's deductions all run through ``_Enumeration._scan``.  Publishing
 compacts, cuts the columns to their rows, checks that the table is closed
-and hands them to ``CosetTable``, so output is deterministic for a fixed
-strategy and input order.
+(each shared relator prefix gathered once) and hands them to ``CosetTable``,
+so output is deterministic for a fixed strategy and input order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import ArgumentError, EnumerationOverflow, WeakcommError
-from .permgroups import Perm, PermGroup
+from .permgroups import Perm, PermGroup, failing_relator
 from .presentations import Presentation
 from .words import GenSymbol, Word
 
@@ -49,9 +49,9 @@ def signed_letters(p: Presentation, w: Word) -> tuple[int, ...]:
         raise ArgumentError(f"word uses undeclared generator {sym}") from None
 
 
-def _columns(p: Presentation, w: Word) -> tuple[int, ...]:
+def _columns(letters: tuple[int, ...]) -> tuple[int, ...]:
     # column 2i is generator i, column 2i+1 its inverse
-    return tuple(2 * abs(s) - 2 + (s < 0) for s in signed_letters(p, w))
+    return tuple(2 * abs(s) - 2 + (s < 0) for s in letters)
 
 
 # HLT renumbers the table mid-run once more than this many rows are dead and
@@ -147,8 +147,9 @@ class _Enumeration:
     def __init__(self, pres: Presentation, subgens: Sequence[Word], max_cosets: int):
         self.pres = pres
         self.ncols = 2 * len(pres.generators)
-        self.relators = [_columns(pres, r) for r in pres.relators]
-        self.subgens = [_columns(pres, w) for w in subgens]
+        self.relator_letters = [signed_letters(pres, r) for r in pres.relators]
+        self.relators = [_columns(r) for r in self.relator_letters]
+        self.subgens = [_columns(signed_letters(pres, w)) for w in subgens]
         self.max_cosets = max_cosets
         # column-major: table[x][a] is the image of coset a under column x,
         # -1 while undefined; the column lists are never replaced, so lists
@@ -177,22 +178,6 @@ class _Enumeration:
         while self.p[a] != root:
             self.p[a], a = root, self.p[a]
         return root
-
-    def alive(self, a: int) -> bool:
-        return self.p[a] == a
-
-    def image(self, a: int, word: tuple[int, ...]) -> int:
-        """Where a closed table sends coset a under a word of columns."""
-        for x in word:
-            a = self.table[x][a]
-        return a
-
-    def first_undefined(self, a: int) -> int | None:
-        """The first column undefined at coset a, None when its row is full."""
-        for x, col in enumerate(self.table):
-            if col[a] < 0:
-                return x
-        return None
 
     # table primitives ------------------------------------------------------
 
@@ -380,10 +365,11 @@ class _Enumeration:
         # pointer stays full and the pointer finds the first undefined entry
         a = 0
         while a < len(self.p):
-            x = self.first_undefined(a) if self.alive(a) else None
-            if x is None:
+            row = [col[a] for col in self.table]
+            if self.p[a] != a or -1 not in row:
                 a += 1
                 continue
+            x = row.index(-1)
             self.define(a, x)
             self.deductions.append((a, x))
             self._process_deductions(bound)
@@ -405,30 +391,26 @@ class _Enumeration:
 
     def publish(self, subgroup_words: Sequence[Word]) -> CosetTable:
         """Compact the table, cut each column to its rows and check that it
-        is closed: every entry is defined, every relator closes at every
-        coset and every subgroup word fixes coset 0."""
+        is closed: every entry is defined, inverse columns invert, every
+        relator closes at every coset and every subgroup word fixes coset 0."""
         self.compact(0)
         for col in self.table:
             del col[len(self.p):]
         if any(-1 in col for col in self.table):
             raise WeakcommError("open coset table entry")
-        # one gather per letter over all cosets; a single coset closes every
-        # relator, and itemgetter of a single index would return a scalar
+        # itemgetter of one index returns a scalar; one coset is its own inverse
         identity = tuple(range(len(self.p)))
-        for r in self.relators if len(identity) > 1 else ():
-            images = identity
-            for x in r:
-                images = itemgetter(*images)(self.table[x])
-            if images != identity:
-                raise WeakcommError("relator does not close")
-        if any(self.image(0, w) != 0 for w in self.subgens):
+        if len(identity) > 1 and any(itemgetter(*fwd)(inv) != identity
+                                     for fwd, inv in zip(self.table[0::2], self.table[1::2])):
+            raise WeakcommError("inverse column does not invert its column")
+        if failing_relator(self.table[0::2], self.relator_letters) is not None:
+            raise WeakcommError("relator does not close")
+        table = CosetTable(n_cosets=len(self.p), columns=tuple(map(tuple, self.table)),
+                           generators=self.pres.generators,
+                           subgroup_words=tuple(subgroup_words))
+        if any(table.trace_word(0, w) for w in subgroup_words):
             raise WeakcommError("subgroup word moves coset 0")
-        return CosetTable(
-            n_cosets=len(self.p),
-            columns=tuple(map(tuple, self.table)),
-            generators=self.pres.generators,
-            subgroup_words=tuple(subgroup_words),
-        )
+        return table
 
 
 def enumerate_cosets(pres: Presentation, subgens: Sequence[Word] = (),

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ArgumentError, SizeGuardError
@@ -132,6 +132,46 @@ def evaluate(images: Sequence[Perm], signed_word: Iterable[int], degree: int) ->
         g = images[abs(s) - 1]
         acc = acc * (g if s > 0 else g.inverse())
     return acc
+
+
+def failing_relator(images: Sequence[Sequence[int]],
+                    relators: Sequence[tuple[int, ...]]) -> int | None:
+    """The index of the first relator, in the given order, that the forward
+    image tuples of the generators do not send to the identity, or None.
+    Relators are signed 1-based index words, walked in sorted order with one
+    image per depth, so a prefix shared with the word before costs no gather;
+    u^-1 v^-1 u v with |u| = |v| holds iff the images of u and v commute."""
+    if not images or len(images[0]) < 2:   # one point: every image is trivial
+        return None
+    identity = tuple(sorted(images[0]))   # range(n) made of the images' own ints
+    letters = {s * i: g if s > 0 else operator.itemgetter(*Perm(g).inverse().img)(identity)
+               for i, g in enumerate(images, 1) for s in (1, -1)}
+
+    def path_images(words):
+        path = [identity]   # path[k] is the image of the last word's k-prefix
+        for last, w in zip([(), *words], words):
+            k = 0
+            while k < min(len(last), len(w)) and last[k] == w[k]:
+                k += 1
+            path[k:] = accumulate(w[k:], lambda g, s: operator.itemgetter(*g)(letters[s]),
+                                  initial=path[k])
+            yield path[-1]
+
+    walks = []   # (u, v, i): relator i is [u, v], or u when v is empty
+    for i, r in enumerate(relators):
+        q = len(r) // 4
+        u, v = r[2 * q:3 * q], r[3 * q:]
+        is_commutator = r[:2 * q] == tuple(map(operator.neg, reversed(v + u)))   # (v u)^-1
+        walks.append((u, v, i) if is_commutator else (r, (), i))
+    walks.sort(key=operator.itemgetter(0))
+    # a double's bar keeps the order of words, so its v's come sorted as well
+    vs = path_images([v for _, v, _ in walks if v])
+    for (_, v, i), a in zip(walks, path_images([u for u, _, _ in walks])):
+        b = next(vs) if v else identity   # u holds iff u = 1, [u, v] iff u v = v u
+        if operator.itemgetter(*a)(b) != (operator.itemgetter(*b)(a) if v else identity):
+            earlier = failing_relator(images, relators[:i])
+            return i if earlier is None else earlier
+    return None
 
 
 def block_perm(parts: Sequence[Perm]) -> Perm:
@@ -452,10 +492,9 @@ class GroupHom:
         self.source = source
         self.target = target
         self.images = list(images)
-        if relators is not None:
-            for r in relators:
-                if not evaluate(self.images, r, target.degree).is_identity():
-                    raise ArgumentError(f"relator {r} does not map to the identity")
+        bad = failing_relator([g.img for g in self.images], relators or ())
+        if bad is not None:
+            raise ArgumentError(f"relator {relators[bad]} does not map to the identity")
 
     def kernel(self) -> PermGroup:
         """The source block of each element of the graph group

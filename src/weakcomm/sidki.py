@@ -33,7 +33,7 @@ from .enumerator import CosetTable, enumerate_cosets, perm_realization, signed_l
 from .errors import ArgumentError, CheckFailure, SizeGuardError
 from .intlinalg import FinAbGroup
 from .permgroups import (Perm, PermGroup, block_perm, commutator, evaluate,
-                         quotient_realization)
+                         failing_relator, quotient_realization)
 from .presentations import (AllElements, Presentation, abelianization,
                             double_and_base_table, require_finite)
 from .words import GenSymbol, Word, bar_word, pi_word
@@ -160,10 +160,10 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     # rho sends g -> (g, g, 1) and barg -> (1, g, g), and pi is its middle
     # block: both are well defined iff every relator maps to 1 under rho
-    for r in double.relators:
-        if not evaluate(im_rho.generators, signed_letters(double, r),
-                        im_rho.degree).is_identity():
-            raise CheckFailure("rho_well_defined", r)
+    bad = failing_relator([g.img for g in im_rho.generators],
+                          [signed_letters(double, r) for r in double.relators])
+    if bad is not None:
+        raise CheckFailure("rho_well_defined", double.relators[bad])
 
     D_nc = X.normal_closure([commutator(a, b) for a in x_images for b in xbar_images])
 

@@ -575,6 +575,25 @@ def checked_walk_hlt(pres, subgens, max_cosets: int):
     return enum.publish(subgens)
 
 
+def signed_word_image(images, w, degree: int):
+    """The image of a word of signed 1-based indices, composed letter by
+    letter from the identity."""
+    image = tuple(range(degree))
+    for s in w:
+        g = images[abs(s) - 1]
+        image = pcompose(image, g if s > 0 else pinverse(g))
+    return image
+
+
+def letterwise_failing_relator(images, relators):
+    """The closure check ``permgroups.failing_relator`` replaced: the index
+    of the first relator, in the given order, whose letter-by-letter image
+    is not the identity, or None."""
+    degree = len(images[0]) if images else 0
+    return next((i for i, r in enumerate(relators)
+                 if signed_word_image(images, r, degree) != tuple(range(degree))), None)
+
+
 # minimal_area_search as it was before it ran on signed-integer words
 def word_minimal_area_search(pres: Presentation, w: Word, max_area: int,
                              max_radius: int) -> int | None:

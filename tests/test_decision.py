@@ -305,6 +305,19 @@ def test_right_multiplier_is_right_multiplication(name, data):
         oracle.normal_form(u * w)
 
 
+def test_a_double_over_another_alphabet_is_refused():
+    base = parse_presentation("< a, b | >")
+    other = sidki_double(parse_presentation("< a, c | >"), LengthBound(1))
+    with pytest.raises(ArgumentError, match="double alphabet must be the doubled base alphabet"):
+        WPSetup(base, oracle_for_presentation(base)[0], other)
+
+
+def test_a_negative_radius_is_refused():
+    oracle = NORMAL_FORM_ORACLES["Z^2"]
+    with pytest.raises(ArgumentError, match="radius must be >= 0"):
+        ball_sizes([Word([g]) for g in oracle.alphabet], oracle, -1)
+
+
 def test_right_multiplier_needs_a_normal_form():
     """The base interface answers neither, and no method returns None for
     unsupported, so a ball search without them fails loudly."""

@@ -263,6 +263,32 @@ def test_table_bytes_are_pinned(monkeypatch, name, strategy):
         assert len(compactions) > 1
 
 
+def _lifo_process_deductions(self, bound, depths):
+    # _Enumeration._process_deductions with the queue read last in, first out
+    queue = self.deductions
+    while queue:
+        depths.append(len(queue))
+        a, x = queue.pop()
+        rotations = bound[x]
+        k = 0
+        while k < len(rotations):
+            k = self._scan(self.find(a), rotations, k)
+
+
+@pytest.mark.parametrize("name", ["X(S3)", "X(A4)", "X(D8)"])
+def test_felsch_tables_do_not_depend_on_the_deduction_order(monkeypatch, name):
+    """Felsch empties the deduction queue before it defines the next entry;
+    read last in, first out, the queue leads to the pinned tables as well."""
+    depths = []
+    monkeypatch.setattr(enumerator._Enumeration, "_process_deductions",
+                        lambda self, bound: _lifo_process_deductions(self, bound, depths))
+    pres, subgens = _pinned_input(name)
+    t = enumerate_cosets(pres, subgens, max_cosets=200_000, strategy="felsch")
+    assert max(depths) > 1     # the order differed from first in, first out
+    digest = hashlib.sha256(t.to_json().encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIGESTS[name, "felsch"]
+
+
 # -- Felsch against the two-end Felsch it replaced ---------------------------------
 
 DIFFERENTIAL_BUDGET = 2000
@@ -419,6 +445,40 @@ def test_publish_refuses_a_relator_that_does_not_close():
     enum.table[1] = [1, 0, 2]
     with pytest.raises(WeakcommError, match="relator does not close"):
         enum.publish([])
+
+
+def _published(pres, columns):
+    """Publish a hand-made table, given as its columns: each generator, then
+    its inverse."""
+    enum = _Enumeration(pres, [], 100)
+    enum.p = list(range(len(columns[0])))
+    for col, rows in zip(enum.table, columns, strict=True):
+        col[:] = [*rows, -1]
+    return enum.publish([])
+
+
+def test_publish_refuses_a_commutator_that_does_not_close():
+    """X(C2) on three cosets: a = (0 1) and a~ = (1 2) close a^2 and a~^2
+    but do not commute, so [a, a~] fails; commuting involutions publish."""
+    a, abar = [1, 0, 2], [0, 2, 1]
+    with pytest.raises(WeakcommError, match="relator does not close"):
+        _published(XC2, [a, a, abar, abar])
+    assert _published(XC2, [a, a, a, a]).n_cosets == 3
+
+
+def test_publish_refuses_an_inverse_column_that_does_not_invert_its_column():
+    # a = (0 1 2) closes a^3, but its inverse column holds a again
+    a = [1, 2, 0]
+    with pytest.raises(WeakcommError, match="inverse column does not invert its column"):
+        _published(C3, [a, a])
+    assert _published(C3, [a, [2, 0, 1]]).n_cosets == 3
+
+
+def test_a_one_coset_table_publishes():
+    # itemgetter of one index returns a scalar; a single coset closes everything
+    subgroup = [Word([g]) for g in XC2.generators]
+    assert enumerate_cosets(XC2, subgroup).columns == ((0,),) * 4
+    assert _published(XC2, [[0]] * 4).n_cosets == 1
 
 
 def test_publish_refuses_a_subgroup_word_that_moves_coset_0():

@@ -1,16 +1,19 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from weakcomm.enumerator import enumerate_cosets, perm_realization
+from weakcomm.enumerator import enumerate_cosets, perm_realization, signed_letters
 from weakcomm.errors import ArgumentError, SizeGuardError
 from weakcomm.permgroups import (GroupHom, Perm, PermGroup, abelian_invariants,
-                                 block_perm, commutator, evaluate,
+                                 block_perm, commutator, evaluate, failing_relator,
                                  quotient_realization, _base_of_rows)
-from weakcomm.presentations import AllElements, parse_presentation, sidki_double
+from weakcomm.presentations import (AllElements, LengthBound, parse_presentation,
+                                    sidki_double)
 from weakcomm.sidki import build
+from weakcomm.words import Word
 
-from .oracles import (bfs_closure, closure, numpy_engel_class, pcompose,
-                      pinverse, quaternion_group, s3_generators, word_kernel)
+from .oracles import (bfs_closure, closure, letterwise_failing_relator,
+                      numpy_engel_class, pcompose, pinverse, quaternion_group,
+                      s3_generators, signed_word_image, word_kernel)
 
 
 def element_matrix(group):
@@ -380,3 +383,106 @@ def test_block_perm_and_evaluate():
     assert b.img == (1, 0, 2, 4, 3)
     assert evaluate([p], [1, 1], 2).is_identity()
     assert evaluate([p], [-1], 2) == p.inverse()
+
+
+# -- the straight-line relator check against the letter-by-letter one -----------
+
+def _inverse_word(w):
+    return tuple(-s for s in reversed(w))
+
+
+def _signed_words(k: int, min_size: int = 0):
+    letters = [s for i in range(1, k + 1) for s in (i, -i)]
+    return st.lists(st.sampled_from(letters), min_size=min_size, max_size=5).map(tuple)
+
+
+def _order(p):
+    identity, q, n = tuple(range(len(p))), p, 1
+    while q != identity:
+        q, n = pcompose(q, p), n + 1
+    return n
+
+
+@st.composite
+def _actions_with_relators(draw):
+    """Random permutation images of degree 1-6 and relators over them: random
+    words, powers that hold, [u, v] and its shapes with swapped quarters, and
+    [u, u^j], which holds."""
+    degree, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    images = [tuple(draw(st.permutations(range(degree)))) for _ in range(k)]
+    relators = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["word", "power", "commutator", "swapped", "commuting"]))
+        u, v = draw(_signed_words(k, 1)), draw(_signed_words(k, 1))
+        if kind == "word":
+            relators.append(draw(_signed_words(k)))
+        elif kind == "power":
+            relators.append(u * _order(signed_word_image(images, u, degree)))
+        elif kind == "commuting":
+            v = u * draw(st.integers(1, 3))
+        if kind in ("commutator", "commuting"):
+            relators.append(_inverse_word(u) + _inverse_word(v) + u + v)
+        elif kind == "swapped":
+            relators.append(draw(st.sampled_from([
+                _inverse_word(v) + _inverse_word(u) + u + v,
+                _inverse_word(u) + _inverse_word(v) + v + u,
+                u + v + _inverse_word(u) + _inverse_word(v)])))
+    return images, relators
+
+
+XC2 = sidki_double(parse_presentation("< a | a^2 >"), AllElements())
+XC2_LETTERS = [signed_letters(XC2, r) for r in XC2.relators]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_actions_with_relators())
+@example(([(1, 0, 2), (0, 2, 1)], XC2_LETTERS))   # a^2, a~^2 hold; [a, a~] does not
+@example(([(1, 0, 2), (1, 0, 2)], XC2_LETTERS))
+@example(([(0,)], [(1, 1, -1)]))
+def test_failing_relator_matches_the_letterwise_check(case):
+    images, relators = case
+    assert failing_relator(images, relators) == letterwise_failing_relator(images, relators)
+
+
+def _base_actions(text):
+    """The base, and its actions on the cosets of the trivial subgroup and of
+    each generator's subgroup, of degree at most 6; None for a free base."""
+    base = parse_presentation(text)
+    if not base.relators:
+        return base, None
+    tables = [enumerate_cosets(base, sub)
+              for sub in ([], *([Word([g])] for g in base.generators))]
+    return base, [t.columns[0::2] for t in tables if t.n_cosets <= 6]
+
+
+DOUBLE_BASES = [_base_actions(text) for text in (
+    "< a | a^2 >", "< a | a^3 >", "< a, b | a^2, b^2, (a*b)^3 >", "< a | >", "< a, b | >")]
+
+
+@st.composite
+def _double_actions(draw):
+    """The relators of a len:1 or len:2 double, the base generators sent to
+    an action of the base (random permutations of 4 points for a free base)
+    and the barred ones to the same action, the trivial one, a conjugate of
+    it or random permutations."""
+    base, actions = draw(st.sampled_from(DOUBLE_BASES))
+    double = sidki_double(base, LengthBound(draw(st.integers(1, 2))))
+    k = len(base.generators)
+    if actions is None:
+        phi = [tuple(draw(st.permutations(range(4)))) for _ in range(k)]
+    else:
+        phi = list(draw(st.sampled_from(actions)))
+    degree = len(phi[0])
+    sigma = tuple(draw(st.permutations(range(degree))))
+    conjugate = [pcompose(pcompose(pinverse(sigma), g), sigma) for g in phi]
+    psi = draw(st.sampled_from([
+        phi, [tuple(range(degree))] * k, conjugate,
+        [tuple(draw(st.permutations(range(degree)))) for _ in range(k)]]))
+    return phi + psi, [signed_letters(double, r) for r in double.relators]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_double_actions())
+def test_failing_relator_matches_the_letterwise_check_on_doubles(case):
+    images, relators = case
+    assert failing_relator(images, relators) == letterwise_failing_relator(images, relators)
