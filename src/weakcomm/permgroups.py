@@ -6,14 +6,28 @@ reading order.  Element-based operations (subgroup lattice, series, Engel
 checks) enumerate the group and refuse to run past a configurable guard.
 An order is given when the group is made, read off
 ``pointwise_stabilizer``, or else counted from the elements, so past the
-guard it too raises ``SizeGuardError``.  Subgroups are closed by coset
-extension (Dimino's method): a kept generator y grows the closed set H by
-its right cosets H y, H y s, ..., so each element is made once.  ``subgroup``,
-``from_elements``, ``normal_closure``, ``pointwise_stabilizer``,
-``intersection`` and ``center`` return their group with the member set its
-span made, and never enumerate it again; only a group made from generators
-alone enumerates its elements, breadth-first.  A pointwise stabilizer is
-closed once, from Schreier generators, without enumerating the group, and
+guard it too raises ``SizeGuardError``.
+
+A group names its elements by keys: their images of its base, points that
+only the identity fixes pointwise, so elements with one key are equal.  A
+group made with no base keys on the whole image tuple: every point is its
+base.  Every subgroup that a group's spans make inherits its base.  Member
+sets, membership, spans, intersections, quotients and the breadth-first
+enumeration all run on keys: the key of x p is p read at x's key, so the
+coset H y is keyed from H's keys and y alone.  Full elements are made only
+for generators, kept Schreier generators, Dimino's coset representatives
+and callers that need one (``evaluator``, which sifts a key down the
+stabilizer chain of the base, its transversals kept as Schreier vectors;
+Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+
+Subgroups are closed by coset extension (Dimino's method): a kept generator
+y grows the closed set H by its right cosets H y, H y s, ..., so each
+element is keyed once.  ``subgroup``, ``from_elements``, ``normal_closure``,
+``pointwise_stabilizer``, ``intersection`` and ``center`` return their group
+with the member keys its span made, and never enumerate it again; only a
+group made from generators alone enumerates its keys, breadth-first.  A
+pointwise stabilizer is closed once, from Schreier generators keyed on the
+base and made in full only when kept, without enumerating the group, and
 gives the group's order by orbit-stabilizer.
 
 Engel verification is a forall-forall property, so it is exhaustive over
@@ -22,34 +36,37 @@ representatives b of the second argument, which is sound because Engel
 words transform equivariantly under simultaneous conjugation.  Since
 [x, b] = (b^x)^-1 b, the first step for b is the rows {c^-1 b : c in the
 class of b}, so it covers each element of the group once over all classes,
-not once per class.  Engel words of group elements are group elements, and
-two group elements that agree on a base (points fixed pointwise only by the
-identity) are equal, so the scan keeps each row as its base images alone:
-it deduplicates rows and tests them for the identity on those, and reads
-the next row's base images off the element they name, composing no
-permutation.  Conjugacy classes are found the same way.  A regular group's
-base is a single point.
+not once per class.  Engel words of group elements are group elements, so
+the scan keeps each row as its key: it deduplicates rows and tests them for
+the identity on those, and reads the next row's key off the element and the
+inverse's key that the row's key names, composing no permutation.
+Conjugacy classes are found the same way.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, combinations
-from typing import Callable, Collection, Iterable, Sequence
+from functools import partial, reduce
+from itertools import combinations, takewhile
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import ArgumentError, SizeGuardError
 
 DEFAULT_GUARD = 100_000
 
+Key = tuple[int, ...]    # an element's images of its group's base points
+
 
 class Perm:
-    """A permutation of {0..n-1} stored as its image tuple."""
+    """A permutation of {0..n-1} stored as its image tuple, and its inverse
+    once that has been asked for."""
 
-    __slots__ = ("img",)
+    __slots__ = ("img", "_inverse")
 
     def __init__(self, img: Sequence[int]):
         self.img = tuple(img)
+        self._inverse: Perm | None = None
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -65,10 +82,12 @@ class Perm:
         return Perm(operator.itemgetter(*self.img)(other.img))
 
     def inverse(self) -> "Perm":
-        out = [0] * len(self.img)
-        for i, x in enumerate(self.img):
-            out[x] = i
-        return Perm(out)
+        if self._inverse is None:
+            out = [0] * len(self.img)
+            for i, x in enumerate(self.img):
+                out[x] = i
+            self._inverse = Perm(out)
+        return self._inverse
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -148,14 +167,18 @@ def failing_relator(images: Sequence[Sequence[int]],
                for i, g in enumerate(images, 1) for s in (1, -1)}
 
     def path_images(words):
-        path = [identity]   # path[k] is the image of the last word's k-prefix
-        for last, w in zip([(), *words], words):
+        path, last = [identity], ()   # path[k] is the image of last's k-prefix
+        for w in words:
             k = 0
-            while k < min(len(last), len(w)) and last[k] == w[k]:
+            while k < len(last) and k < len(w) and last[k] == w[k]:
                 k += 1
-            path[k:] = accumulate(w[k:], lambda g, s: operator.itemgetter(*g)(letters[s]),
-                                  initial=path[k])
-            yield path[-1]
+            del path[k + 1:]
+            g = path[k]
+            for s in w[k:]:
+                g = operator.itemgetter(*g)(letters[s])
+                path.append(g)
+            last = w
+            yield g
 
     walks = []   # (u, v, i): relator i is [u, v], or u when v is empty
     for i, r in enumerate(relators):
@@ -185,40 +208,49 @@ def block_perm(parts: Sequence[Perm]) -> Perm:
 
 
 class PermGroup:
-    """Group generated by permutations of a common degree."""
+    """Group generated by permutations of a common degree, its elements
+    named by their images of its base (every point when none is given)."""
 
     def __init__(self, degree: int, generators: Sequence[Perm],
-                 guard: int = DEFAULT_GUARD, known_order: int | None = None):
+                 guard: int = DEFAULT_GUARD, known_order: int | None = None,
+                 base: Sequence[int] | None = None):
         for g in generators:
             if g.degree != degree:
                 raise ArgumentError("generator degree mismatch")
         self.degree = degree
         self.generators = list(generators)  # order matters: homs map by index
         self.guard = guard
+        self.base = None if base is None else tuple(base)
+        # the points a key reads, which are also the identity's key
+        self._points = tuple(range(degree)) if base is None else self.base
         self._order = known_order
-        self._elements: Collection[Perm] | None = None
+        self._elements: Collection[Key] | None = None   # the member keys
+        # the group whose stabilizer chain evaluates keys, when not this one
+        self._top: PermGroup | None = None
+        self._chain: list[tuple[list[Perm], dict]] | None = None
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, [], known_order=1)
+    # -- keys and elements -----------------------------------------------------
 
-    # -- element enumeration ------------------------------------------------
+    def key(self, p: Perm) -> Key:
+        """p's images of the base points, which name p among the group's
+        elements; the image tuple itself when every point is the base."""
+        return p.img if self.base is None else _at(p.img, self.base)
 
-    def elements(self, guard: int | None = None) -> Collection[Perm]:
-        """All elements: the members of a closed subgroup as its span made
+    def keys(self, guard: int | None = None) -> Collection[Key]:
+        """The member keys: those of a closed subgroup as its span made
         them, else a breadth-first search over the generators, kept in that
-        order."""
+        order, in which the key of x g is g read at x's key."""
         limit = self.guard if guard is None else guard
         if self._elements is not None:
             if len(self._elements) > limit:
                 raise SizeGuardError(len(self._elements), limit)
             return self._elements
-        ident = Perm.identity(self.degree)
-        found = {ident: None}       # a dict, to keep the breadth-first order
-        queue = [ident]
+        found = {self._points: None}    # a dict, to keep the breadth-first order
+        images = [g.img for g in self.generators]
+        queue = [self._points]
         for x in queue:
-            for g in self.generators:
-                y = x * g
+            for g in images:
+                y = _at(g, x)
                 if y not in found:
                     if len(found) >= limit:
                         raise SizeGuardError(f"> {limit}", limit)
@@ -228,75 +260,117 @@ class PermGroup:
         self._order = len(found)
         return found
 
+    def evaluator(self) -> "_Evaluator":
+        """A function from keys to elements (see ``_Evaluator``)."""
+        return _Evaluator(self)
+
+    def elements(self, guard: int | None = None) -> Collection[Perm]:
+        """All elements, evaluated from the member keys in their order."""
+        return list(map(self.evaluator(), self.keys(guard)))
+
     def order(self) -> int:
         if self._order is not None:
             return self._order
-        return len(self.elements())
+        return len(self.keys())
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self.elements()
+        return self.key(p) in self.keys()
+
+    def _transversals(self) -> list[tuple[list[Perm], dict]]:
+        """Per base point, the generators of the pointwise stabilizer of the
+        points before it and the Schreier vector of the point's orbit under
+        them; made on first use by the group that gave the base, and shared
+        by every subgroup its spans made."""
+        top = self._top or self
+        if top._chain is None:
+            chain, gens, order = [], top.generators, top._order
+            for pt in top.base:
+                tree, tkeys = _orbit_tree(gens, pt, top.base)
+                chain.append((gens, tree))
+                if len(chain) == len(top.base):
+                    break
+                order = None if order is None else order // len(tree)
+                gens, _ = top._stabilizer_span(_schreier_candidates(
+                    gens, tree, list(tkeys.items()), top), order)
+            top._chain = chain
+        return top._chain
 
     # -- subgroup machinery --------------------------------------------------
 
-    def _span(self, elems: Iterable[Perm], gens: list[Perm] | None = None,
-              members: set[Perm] | None = None) -> tuple[list[Perm], set[Perm]]:
-        """The greedy generators and the element set of <gens, elems>.
+    def _span(self, candidates: Iterable[tuple[Key, Perm | Callable[[], Perm]]],
+              gens: list[Perm] | None = None, members: set[Key] | None = None
+              ) -> tuple[list[Perm], set[Key]]:
+        """The greedy generators and the member keys of <gens, candidates>.
 
-        Each element of elems that the span does not contain yet becomes a
+        Each candidate is a key and its element, or a function that makes
+        the element.  Each candidate the span does not contain yet becomes a
         generator (order-deterministic), and the span H grows by its right
         cosets H y, H y s, ... until right multiplication by every generator
-        s is closed (Dimino's method), so each element is made once.
-        ``members`` is the element set of <gens>; both grow in place.
-        SizeGuardError once the span would pass the guard.
+        s is closed (Dimino's method), so each element is keyed once, from
+        H's keys and the coset representative alone.  A representative is
+        made only once its key is new.  ``members`` is the key set of
+        <gens>; both grow in place.  SizeGuardError once the span would pass
+        the guard.
         """
         if members is None:
-            gens, members = [], {Perm.identity(self.degree)}
+            gens, members = [], {self._points}
         guard = self.guard
-        for y in elems:
-            if y in members:
+        for key, make in candidates:
+            if key in members:
                 continue
+            y = make() if callable(make) else make
             gens.append(y)
             block = list(members)
-            reps = [y]
-            for z in reps:          # candidate coset representatives; grows
-                if z in members:
+            reps = [(key, y, None)]     # (key of z s, z, s): candidate representatives
+            for zkey, z, s in reps:
+                if zkey in members:
                     continue
                 if len(members) + len(block) > guard:
                     raise SizeGuardError(f"> {guard}", guard)
-                members.update([h * z for h in block])
-                reps.extend([z * s for s in gens])
+                if s is not None:
+                    z = z * s
+                members.update([_at(z.img, h) for h in block])
+                reps.extend([(_at(t.img, zkey), z, t) for t in gens])
         return gens, members
 
-    def _closure(self, elems: Iterable[Perm]) -> "PermGroup":
-        """The subgroup generated by elems, on a greedy subset of elems
-        (see ``_span``), returned with the member set the span made."""
-        return self._spanned(*self._span(elems))
+    def _given(self, elems: Iterable[Perm]) -> list[tuple[Key, Perm]]:
+        return [(self.key(p), p) for p in elems]
 
-    def _spanned(self, gens: list[Perm], members: set[Perm]) -> "PermGroup":
+    def _closure(self, candidates) -> "PermGroup":
+        """The subgroup generated by the candidates, on a greedy subset of
+        them (see ``_span``), returned with the member keys the span made."""
+        return self._spanned(*self._span(candidates))
+
+    def _spanned(self, gens: list[Perm], members: set[Key]) -> "PermGroup":
         group = PermGroup(self.degree, gens, guard=self.guard,
-                          known_order=len(members))
+                          known_order=len(members), base=self.base)
         group._elements = members
+        group._top = self._top or self
         return group
 
     def subgroup(self, gens: Sequence[Perm]) -> "PermGroup":
-        return self._closure(gens)
+        return self._closure(self._given(gens))
 
     def from_elements(self, elems: Iterable[Perm]) -> "PermGroup":
         return self._closure(sorted(
-            (e for e in elems if not e.is_identity()), key=lambda p: p.img))
+            (c for c in self._given(elems) if c[0] != self._points),
+            key=operator.itemgetter(0)))
 
     def normal_closure(self, gens: Sequence[Perm]) -> "PermGroup":
         """One span, grown by each conjugate of its generators that it
-        lacks, returned with its generators and members."""
-        span_gens, members = self._span(gens)
-        conjugators = [(g.inverse(), g) for g in self.generators]
+        lacks, returned with its generators and members.  The key of
+        g^-1 s g is g read at s read at the key of g^-1, so a conjugate is
+        made only when the span lacks it."""
+        span_gens, members = self._span(self._given(gens))
+        conjugators = [(self.key(g.inverse()), g.inverse(), g) for g in self.generators]
         work = list(span_gens)
         while work:
             s = work.pop()
-            for g_inv, g in conjugators:
-                t = g_inv * s * g
-                if t not in members:
-                    self._span([t], span_gens, members)
+            for g_inv_key, g_inv, g in conjugators:
+                key = _at(g.img, _at(s.img, g_inv_key))
+                if key not in members:
+                    t = g_inv * s * g
+                    self._span([(key, t)], span_gens, members)
                     work.append(t)
         return self._spanned(span_gens, members)
 
@@ -306,23 +380,39 @@ class PermGroup:
         next point's stabilizer in the last level, the last returned with its
         span generators and members.  As a by-product the group's order is
         known by orbit-stabilizer, the product of the orbit lengths along the
-        levels times the order of the result."""
+        levels times the order of the result; when it was known already, each
+        span stops once it reaches the order that gives its level."""
         if not points:
             raise ArgumentError("pointwise_stabilizer needs a point")
-        gens, order = self.generators, 1
+        gens, order, orbits = self.generators, self._order, 1
         for pt in points:
-            transversal, schreier = _schreier_generators(gens, pt, self.degree)
-            gens, members = self._span(schreier)
-            order *= len(transversal)
+            transversal, schreier = _schreier_generators(gens, pt, self)
+            orbits *= len(transversal)
+            gens, members = self._stabilizer_span(
+                schreier, None if order is None else order // orbits)
         if self._order is None:
-            self._order = order * len(members)
+            self._order = orbits * len(members)
         return self._spanned(gens, members)
 
+    def _stabilizer_span(self, schreier: Iterable[tuple[Key, Callable[[], Perm]]],
+                         order: int | None) -> tuple[list[Perm], set[Key]]:
+        """The span of a stabilizer's Schreier generators, stopped once it
+        reaches the stabilizer's order when that is known: the generators
+        left are members then, so the span and its generators are the same."""
+        gens: list[Perm] = []
+        members: set[Key] = {self._points}
+        if order is not None:
+            schreier = takewhile(lambda _: len(members) < order, schreier)
+        return self._span(schreier, gens, members)
+
     def intersection(self, other: "PermGroup") -> "PermGroup":
-        if other.degree != self.degree:
+        """The span of the common members, in the order of their keys; only
+        the members kept as generators are made."""
+        if other.degree != self.degree or other.base != self.base:
             raise ArgumentError("intersection needs subgroups of a common parent")
-        theirs = other.elements()
-        return self.from_elements(p for p in self.elements() if p in theirs)
+        theirs, element = other.keys(), self.evaluator()
+        return self._closure((k, partial(element, k)) for k in sorted(self.keys())
+                             if k in theirs and k != self._points)
 
     def center(self) -> "PermGroup":
         cent = [x for x in self.elements()
@@ -364,26 +454,28 @@ class PermGroup:
 
     # -- Engel checks ----------------------------------------------------------
 
-    def _conjugacy_classes(self, named: dict[tuple[int, ...], tuple[int, ...]],
-                           base: Sequence[int]) -> list[list[tuple[int, ...]]]:
-        """The conjugacy classes as orbits of image tuples, each led by its
-        representative.  ``named`` maps base images to elements, so each
-        conjugate g^-1 y g is read off y on the base and looked up, never
-        composed."""
+    def _conjugacy_classes(self, named: dict[Key, tuple[tuple[int, ...], Key]]
+                           ) -> list[list[Key]]:
+        """The conjugacy classes as orbits of keys, each led by its
+        representative's.  ``named`` maps each key to its element's image
+        tuple (and its inverse's key), so each conjugate g^-1 y g is read off
+        y on the base, never composed."""
+        base = self._points
         conjugators = [(g.img, g.inverse().img) for g in self.generators]
-        seen: set[tuple[int, ...]] = set()
+        seen: set[Key] = set()
         classes = []
-        for key, x in named.items():
+        for key in named:
             if key in seen:
                 continue
             seen.add(key)
-            orbit = [x]
+            orbit = [key]
             for y in orbit:
+                y = named[y][0]
                 for g, g_inv in conjugators:
                     z = tuple([g[y[g_inv[p]]] for p in base])
                     if z not in seen:
                         seen.add(z)
-                        orbit.append(named[z])
+                        orbit.append(z)
             classes.append(orbit)
         return classes
 
@@ -406,20 +498,24 @@ class PermGroup:
             raise SizeGuardError(self.order(), limit, what="Engel check")
         if self.order() == 1:
             return 1
-        elements = [p.img for p in self.elements()]
-        base = _base_of_rows(elements)
-        # equal base images mean equal elements: a row is kept as its base
-        # images, deduplicated, and tested for the identity on them alone
-        named = {tuple([e[p] for p in base]): e for e in elements}
-        identity = tuple(base)
+        keys = self.keys(limit)
+        # equal keys mean equal elements: a row is kept as its key,
+        # deduplicated, and tested for the identity on it alone; each key
+        # names its element's image tuple and its inverse's key
+        evaluate = self.evaluator().with_inverse_key
+        named = {}
+        for k in keys:
+            x, x_inv = evaluate(k)
+            named[k] = x.img, x_inv
+        identity = self._points
         worst = 1
-        for cls in self._conjugacy_classes(named, base):
-            b = cls[0]                  # the class representative
+        for cls in self._conjugacy_classes(named):
+            b = named[cls[0]][0]        # the class representative
             b_inv = Perm(b).inverse().img
             # [x, b] = (b^x)^-1 b, and b^x runs over b's class as x runs
             # over the group: one first-step row c^-1 b per class member c,
-            # which sends p to b[c^-1(p)], and c^-1(p) = c.index(p)
-            rows = {tuple([b[c.index(p)] for p in base]) for c in cls}
+            # which sends p to b[c^-1(p)]
+            rows = {tuple([b[q] for q in named[c][1]]) for c in cls}
             k = 1
             while True:
                 rows.discard(identity)
@@ -429,50 +525,160 @@ class PermGroup:
                     return None
                 # x -> [x, b] = x^-1 b^-1 x b, composed left to right on
                 # the base points alone
-                rows = {tuple([b[x[b_inv[x.index(p)]]] for p in base])
-                        for x in map(named.__getitem__, rows)}
+                rows = {tuple([b[x[b_inv[q]]] for q in x_inv])
+                        for x, x_inv in map(named.__getitem__, rows)}
                 k += 1
             worst = max(worst, k)
         return worst
 
 
-def _base_of_rows(rows: Sequence[tuple[int, ...]]) -> list[int]:
-    """A base of the group whose elements are the given image tuples.
+class _Evaluator:
+    """Elements from keys.  With every point as the base a key is the
+    image tuple itself.  Otherwise the element is the product t_(m-1) ...
+    t_0 of the transversal elements that sift its key down the stabilizer
+    chain of the base: t_0 takes the first base point where the key says,
+    t_0^-1 read at the key gives the key of the rest, which fixes that
+    point, and so on.  Each transversal element is made from its Schreier
+    vector once, and kept while the evaluator lives."""
 
-    Walks the points in order and keeps a point when some element fixing the
-    kept points moves it; only the identity fixes the result pointwise.
-    """
-    base: list[int] = []
-    for pt in range(len(rows[0])):
-        if len(rows) == 1:
-            break
-        fixing = [r for r in rows if r[pt] == pt]
-        if len(fixing) < len(rows):
-            base.append(pt)
-            rows = fixing
-    return base
+    def __init__(self, group: PermGroup):
+        self.base = group._points
+        self.chain = None if group.base is None else group._transversals()
+        if self.chain is not None:
+            identity = Perm.identity(group.degree)
+            self.made = [{next(iter(tree)): identity} for _, tree in self.chain]
+
+    def _transversal(self, level: int, a: int) -> Perm:
+        known = self.made[level]
+        if a in known:
+            return known[a]
+        (gens, tree), path = self.chain[level], []
+        while a not in known:
+            path.append(a)
+            a = tree[a][0]
+        t = known[a]
+        for b in reversed(path):
+            t = known[b] = t * gens[tree[b][1]]
+        return t
+
+    def _factors(self, key: Key) -> list[Perm]:
+        """t_0, ..., t_(m-1) for the key's element."""
+        factors = []
+        for level in range(len(self.chain)):
+            t = self._transversal(level, key[level])
+            factors.append(t)
+            if level + 1 < len(self.chain):
+                key = _at(t.inverse().img, key)
+        return factors
+
+    def __call__(self, key: Key) -> Perm:
+        if self.chain is None:
+            return Perm(key)
+        return reduce(operator.mul, reversed(self._factors(key)))
+
+    def at(self, key: Key, points: Key) -> Key:
+        """The key's element read at the points, through t_(m-1), ..., t_0
+        in turn, without making the element: the key of y x, when the
+        points are y's key."""
+        if self.chain is None:
+            return _at(key, points)
+        for t in reversed(self._factors(key)):
+            points = _at(t.img, points)
+        return points
+
+    def with_inverse_key(self, key: Key) -> tuple[Perm, Key]:
+        """The key's element and the key of its inverse, which is the base
+        read through t_0^-1, ..., t_(m-1)^-1 in turn."""
+        if self.chain is None:
+            x = Perm(key)
+            return x, x.inverse().img
+        factors, points = self._factors(key), self.base
+        for t in factors:
+            points = _at(t.inverse().img, points)
+        return reduce(operator.mul, reversed(factors)), points
 
 
-# -- Schreier generators -------------------------------------------------------
+# -- Schreier vectors ----------------------------------------------------------
 
-def _schreier_generators(gens: Sequence[Perm], point: int, degree: int
-                         ) -> tuple[dict[int, Perm], list[Perm]]:
-    """The transversal of the orbit of point, t_a the breadth-first tree path
-    from point to a (keyed in breadth-first order), and the Schreier
-    generators t_a g t_(a^g)^-1 of the stabilizer of point, which by
-    Schreier's lemma generate it."""
-    transversal = {point: Perm.identity(degree)}
+def _at(img: tuple[int, ...], points: Sequence[int]) -> Key:
+    """img read at the points: the key of x p, when x has these points as
+    its key and p has the image tuple img."""
+    if len(points) == 1:   # itemgetter needs two indices to return a tuple
+        return (img[points[0]],)
+    return operator.itemgetter(*points)(img)
+
+
+def _orbit_tree(gens: Sequence[Perm], point: int, points: Key
+                ) -> tuple[dict[int, tuple[int, int] | None], dict[int, Key]]:
+    """The Schreier vector of the orbit of point, in breadth-first order:
+    each orbit point b maps to (a, i) when the tree reaches it as a read by
+    gens[i], the point itself to None; and the key of each transversal
+    element t_b, the tree path from point to b, on the given points."""
+    tree: dict[int, tuple[int, int] | None] = {point: None}
+    tkeys = {point: points}
     orbit = [point]
     for a in orbit:
-        ta = transversal[a]
-        for g in gens:
+        ka = tkeys[a]
+        for i, g in enumerate(gens):
             b = g.img[a]
-            if b not in transversal:
-                transversal[b] = ta * g
+            if b not in tree:
+                tree[b] = (a, i)
+                tkeys[b] = _at(g.img, ka)
                 orbit.append(b)
-    inverses = {b: t.inverse() for b, t in transversal.items()}
-    return transversal, [ta * g * inverses[g.img[a]]
-                         for a, ta in transversal.items() for g in gens]
+    return tree, tkeys
+
+
+def _back(tree: dict, inverses: Sequence[Perm], a: int, points: Key) -> Key:
+    """t_a^-1 read at the points: the tree path to a walked back from a,
+    undoing the generator of each edge."""
+    while tree[a] is not None:
+        a, i = tree[a]
+        points = _at(inverses[i].img, points)
+    return points
+
+
+def _schreier_candidates(gens: Sequence[Perm], tree: dict,
+                         transversal: Sequence[tuple[int, Key]], group: "PermGroup"):
+    """The Schreier generators t_a g t_(a^g)^-1 of the stabilizer of the
+    tree's root, which by Schreier's lemma generate it, for the transversal
+    in its order and the generators in theirs, as the candidates of a span:
+    each keyed by reading t_(a^g)^-1 at g read at the key of t_a, and made
+    in full only when the span keeps it.  Tree edges give the identity and
+    are left out."""
+    inverses = [g.inverse() for g in gens]
+    for a, key_a in transversal:
+        for i, g in enumerate(gens):
+            b = g.img[a]
+            if tree[b] == (a, i):
+                continue
+            key = _back(tree, inverses, b, _at(g.img, key_a))
+            if group.base is None:
+                yield key, partial(Perm, key)
+            else:
+                yield key, partial(_schreier_element, gens, inverses, tree, a, i, b)
+
+
+def _schreier_element(gens: Sequence[Perm], inverses: Sequence[Perm], tree: dict,
+                      a: int, i: int, b: int) -> Perm:
+    """t_a gens[i] t_b^-1, multiplied out along the tree paths."""
+    x = gens[i]
+    while tree[a] is not None:
+        a, j = tree[a]
+        x = gens[j] * x
+    while tree[b] is not None:
+        b, j = tree[b]
+        x = x * inverses[j]
+    return x
+
+
+def _schreier_generators(gens: Sequence[Perm], point: int, group: "PermGroup"
+                         ) -> tuple[dict[int, Key], Iterator[tuple[Key, Callable]]]:
+    """The transversal of the orbit of point, each t_a named by its key on
+    the group's base and listed in breadth-first order, and the Schreier
+    generators of the stabilizer of point as span candidates (see
+    ``_schreier_candidates``)."""
+    tree, tkeys = _orbit_tree(gens, point, group._points)
+    return tkeys, _schreier_candidates(gens, tree, list(tkeys.items()), group)
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -514,21 +720,24 @@ def quotient_realization(group: PermGroup, normal: PermGroup
     """Regular-style realization of group/normal on the right cosets.
 
     Returns the quotient as a permutation group of degree [group : normal]
-    together with the projection map on elements.
+    together with the projection map on elements.  Both groups key their
+    elements on one base: the coset N x is keyed from N's keys and x alone,
+    so only the coset representatives are made.
     """
-    n_elems = set(normal.elements())
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for x in group.elements():
-        if x not in coset_of:
-            idx = len(reps)
-            reps.append(x)
-            for h in n_elems:
-                coset_of[h * x] = idx
+    if normal.base != group.base:
+        raise ArgumentError("quotient needs a normal subgroup on the group's base")
+    n_keys, element = list(normal.keys()), group.evaluator()
+    coset_of: dict[Key, int] = {}
+    reps: list[Key] = []
+    for key in group.keys():
+        if key not in coset_of:
+            x = element(key)
+            coset_of.update(dict.fromkeys([_at(x.img, h) for h in n_keys], len(reps)))
+            reps.append(key)
     degree = len(reps)
 
     def project(p: Perm) -> Perm:
-        return Perm(coset_of[reps[i] * p] for i in range(degree))
+        return Perm(coset_of[_at(p.img, r)] for r in reps)
 
     q = PermGroup(degree, [project(g) for g in group.generators],
                   guard=group.guard, known_order=degree)

@@ -14,8 +14,10 @@ regularly on each rho block, so L and D are the stabilizers of one point per
 block, closed once from Schreier generators; DL is generated by the
 generators of D and L and has order |D| |L| / |W| because D is normal, so
 it is never spanned; X itself is enumerated only by an element-wise check,
-the Engel scan.  The span of the letter differences is made once, and its
-normality read off its generators.  pi and rho are not kept: ``build``
+the Engel scan.  X and every subgroup of it key their elements on X's
+two-point base, and im rho on the first point of each block.  The span of
+the letter differences is made once, and its normality read off its
+generators.  pi and rho are not kept: ``build``
 checks that the double's relators map to the identity under rho, whose
 middle coordinate is pi, and reads their kernels off the blocks.
 W has one more routine, ``_w_members``, shared with ``perfect_base_report``:
@@ -91,14 +93,15 @@ class XRealization:
 
 def _im_rho(G: PermGroup) -> PermGroup:
     """The image of rho, on the images of the double's generators in order:
-    g -> (g, g, 1), barg -> (1, g, g).  Its order is read off the stabilizer
-    of the first points of blocks 0 and 1 (orbit-stabilizer), not counted;
-    its guard is |G|^3, the largest order it can have."""
+    g -> (g, g, 1), barg -> (1, g, g).  G acts regularly on each block, so
+    the first point of each block is a base of it.  Its order is read off
+    the stabilizer of the first points of blocks 0 and 1 (orbit-stabilizer),
+    not counted; its guard is |G|^3, the largest order it can have."""
     one = Perm.identity(G.degree)
     im_rho = PermGroup(3 * G.degree,
                        [block_perm([p, p, one]) for p in G.generators] +
                        [block_perm([one, p, p]) for p in G.generators],
-                       guard=G.order() ** 3)
+                       guard=G.order() ** 3, base=range(0, 3 * G.degree, G.degree))
     im_rho.pointwise_stabilizer([0, G.degree])
     return im_rho
 
@@ -123,15 +126,20 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
 
     X is generated by the coset action on the split copy times rho, which is
     faithful because the split copy meets the kernel of rho trivially; its
-    degree is [X : split copy] + 3 |G|.  SizeGuardError, before any span,
-    when [X : split copy] |G| passes the guard.  L and D are the pointwise
-    stabilizers of the first point of rho block 1, and of blocks 0 and 2,
-    kept as ``pointwise_stabilizer`` closes them, without enumerating X; |X|
-    is the length of the block-1 orbit times |L| (orbit-stabilizer), and
+    degree is [X : split copy] + 3 |G|.  Its base is coset 0, which only the
+    split copy fixes, and the first point of rho block 0, on which the split
+    copy acts as G does, regularly: every subgroup below keys its members on
+    those two points, and an element is made in full only where a check
+    needs one.  SizeGuardError, before any span, when [X : split copy] |G|
+    passes the guard.  L and D are the pointwise stabilizers of the first
+    point of rho block 1, and of blocks 0 and 2, kept as
+    ``pointwise_stabilizer`` closes them, without enumerating X; |X| is the
+    length of the block-1 orbit times |L| (orbit-stabilizer), and
     CheckFailure when that is not [X : split copy] |G|.  DL takes the
     generators of D and L and the order |D| |L| / |W|.  W is checked against
     ``_w_members``; normality, centrality and image checks run on
-    generators.  SizeGuardError, before any enumeration, when the base has
+    generators, and the random D x L check on member keys, each product
+    read off the other factor's key.  SizeGuardError, before any enumeration, when the base has
     positive free rank.
     """
     Q, base_table, G, double, table = _split_copy(pres, max_cosets, guard)
@@ -145,7 +153,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     X = PermGroup(index + 3 * gdeg,
                   [block_perm([c, r])
                    for c, r in zip(table.action, im_rho.generators)],
-                  guard=guard)
+                  guard=guard, base=(0, index))
     # G is regular, so x is trivial in rho-coordinate k iff x fixes the
     # first point of that block: pi is coordinate 1, pi x pibar are 0 and 2.
     # The stabilizer of the block-1 point also gives |X| by orbit-stabilizer
@@ -170,7 +178,7 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     W = D.intersection(L)
     # D is normal and W = D n L, so |DL| = |D| |L| / |W| with no span
     DL = PermGroup(X.degree, D.generators + L.generators, guard=guard,
-                   known_order=D.order() * L.order() // W.order())
+                   known_order=D.order() * L.order() // W.order(), base=X.base)
     G_split = X.subgroup(x_images)
 
     x = XRealization(
@@ -185,29 +193,31 @@ def build(pres: Presentation, max_cosets: int = 10 ** 6, guard: int = 100_000,
     # --- structural checks -------------------------------------------------
     L_sub = X.subgroup(list(x.ell_images.values()))
     x.check("L_generated_by_letter_differences",
-            L_sub.order() == L.order() and all(g in L.elements() for g in L_sub.generators))
+            L_sub.order() == L.order() and all(g in L for g in L_sub.generators))
     # <l> is its normal closure iff X's generators conjugate its generators into it
     x.check("L_subgroup_equals_normal_closure",
             all(g.inverse() * s * g in L_sub
                 for s in L_sub.generators for g in X.generators))
     x.check("D_normal_closure_equals_kernel",
             D_nc.order() == D.order() and
-            all(g in D.elements() for g in D_nc.generators))
+            all(g in D for g in D_nc.generators))
 
     x.check("D_commutes_with_L", D.centralizes(L))
     rng = Random(rng_seed)
-    d_members, l_members = list(D.elements()), list(L.elements())
+    d_keys, l_keys, element = list(D.keys()), list(L.keys()), X.evaluator()
     bad_pair = None
     for _ in range(32):
-        d, l = rng.choice(d_members), rng.choice(l_members)
-        if d * l != l * d:
-            bad_pair = (d, l)
+        d, l = rng.choice(d_keys), rng.choice(l_keys)
+        # d l and l d are equal iff they agree on the base; d l reads l at d's key
+        if element.at(l, d) != element.at(d, l):
+            bad_pair = (element(d), element(l))
             break
     x.check("D_commutes_with_L_random_elements", bad_pair is None, bad_pair)
 
     # W once more, independently of the block filters: traced coset words
     w_members = {x.element(m) for m in _w_members(table, base_table)}
-    x.check("W_equals_kernel_of_rho", set(W.elements()) == w_members)
+    x.check("W_equals_kernel_of_rho",
+            len(w_members) == W.order() and all(m in W for m in w_members))
     x.check("W_is_abelian", W.is_abelian())
     x.check("W_central_in_DL", W.centralizes(DL))
 
@@ -296,12 +306,10 @@ def _ell_identity(x: XRealization) -> tuple[bool, tuple | None]:
     l_u^x = l_{ux} l_x^-1   and   l_u^{bar x} = l_x^-1 l_{ux}.
 
     They are recast without conjugation, l_u x l_x = x l_{ux} and
-    l_u bar x = bar x l_x^-1 l_{ux}, and each side is compared on a base of
-    X, not multiplied out: coset 0 is fixed only by the split copy, and the
-    first point of rho block 0 only by the identity of that copy, which acts
-    on the block as G does, regularly.
+    l_u bar x = bar x l_x^-1 l_{ux}, and each side is compared on X's base
+    (see ``build``), not multiplied out.
     """
-    base = (0, x.X.degree - 3 * x.G.degree)
+    base = x.X.base
     # per element x of G, its images x and bar x in X and the products
     # x l_x and bar x l_x^-1; the inverse of l_x is taken once
     images = []

@@ -393,7 +393,7 @@ def w_structure_checks(x, guard: int = 100_000) -> dict:
         raise WeakcommError("action on L/L' did not nilpotize below |V|+3")
     w_gens = [g for g in x.W.generators if not g.is_identity()]
     w_section = module_from_abelian_quotient(
-        x.W, PermGroup.trivial(x.X.degree), w_gens, x.x_images, guard=guard)
+        x.W, x.W.subgroup([]), w_gens, x.x_images, guard=guard)
     wmod = w_section.module
     m = module_M(G, guard=guard)
     m_order = m.structure().order()

@@ -949,3 +949,137 @@ def numpy_engel_class(group: PermGroup, cap: int) -> int | None:
             k += 1
         worst = max(worst, k)
     return worst
+
+
+# PermGroup._span as it was before keys: Dimino's method on full image tuples
+def full_tuple_span(group: PermGroup, elems) -> tuple[list[Perm], set[Perm]]:
+    """The greedy generators and the element set of <elems>: each element of
+    elems the span lacks becomes a generator, and the span H grows by its
+    right cosets H y, H y s, ..., every member a full product."""
+    gens, members = [], {Perm.identity(group.degree)}
+    for y in elems:
+        if y in members:
+            continue
+        gens.append(y)
+        block = list(members)
+        reps = [y]
+        for z in reps:
+            if z in members:
+                continue
+            if len(members) + len(block) > group.guard:
+                raise SizeGuardError(f"> {group.guard}", group.guard)
+            members.update([h * z for h in block])
+            reps.extend([z * s for s in gens])
+    return gens, members
+
+
+# PermGroup.elements as it was before keys: breadth-first on full tuples
+def full_tuple_elements(group: PermGroup) -> list[Perm]:
+    """The elements in breadth-first order over the generators, each one a
+    full product."""
+    ident = Perm.identity(group.degree)
+    found = {ident: None}
+    queue = [ident]
+    for x in queue:
+        for g in group.generators:
+            y = x * g
+            if y not in found:
+                if len(found) >= group.guard:
+                    raise SizeGuardError(f"> {group.guard}", group.guard)
+                found[y] = None
+                queue.append(y)
+    return list(found)
+
+
+# permgroups._base_of_rows, which the Engel scan read its base off before
+# groups carried one
+def base_of_rows(rows) -> list[int]:
+    """A base of the group whose elements are the given image tuples: walks
+    the points in order and keeps a point when some element fixing the kept
+    points moves it; only the identity fixes the result pointwise."""
+    base: list[int] = []
+    for pt in range(len(rows[0])):
+        if len(rows) == 1:
+            break
+        fixing = [r for r in rows if r[pt] == pt]
+        if len(fixing) < len(rows):
+            base.append(pt)
+            rows = fixing
+    return base
+
+
+# PermGroup._engel_scan as it was before keys, on the base base_of_rows finds
+def rows_engel_class(group: PermGroup, cap: int) -> int | None:
+    """Least n <= cap making the group n-Engel, or None when the cap is hit:
+    rows kept as their images of a base found by scanning all elements, the
+    conjugacy classes and each step [x, b] read off the full elements."""
+    elements = [p.img for p in full_tuple_elements(group)]
+    if len(elements) == 1:
+        return 1
+    base = base_of_rows(elements)
+    named = {tuple([e[p] for p in base]): e for e in elements}
+    identity = tuple(base)
+    conjugators = [(g.img, g.inverse().img) for g in group.generators]
+    seen, classes = set(), []
+    for key, x in named.items():
+        if key in seen:
+            continue
+        seen.add(key)
+        orbit = [x]
+        for y in orbit:
+            for g, g_inv in conjugators:
+                z = tuple([g[y[g_inv[p]]] for p in base])
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(named[z])
+        classes.append(orbit)
+    worst = 1
+    for cls in classes:
+        b = cls[0]
+        b_inv = Perm(b).inverse().img
+        rows = {tuple([b[c.index(p)] for p in base]) for c in cls}
+        k = 1
+        while True:
+            rows.discard(identity)
+            if not rows:
+                break
+            if k >= cap:
+                return None
+            rows = {tuple([b[x[b_inv[x.index(p)]]] for p in base])
+                    for x in map(named.__getitem__, rows)}
+            k += 1
+        worst = max(worst, k)
+    return worst
+
+
+# PermGroup.normal_closure and lower_central_series as they were before keys
+def full_tuple_normal_closure(group: PermGroup, gens) -> tuple[list[Perm], set[Perm]]:
+    """The generators and elements of the normal closure of gens: a
+    full-tuple span grown by each conjugate of its generators by the
+    group's generators that it lacks."""
+    span_gens, members = full_tuple_span(group, gens)
+    work = list(span_gens)
+    while work:
+        s = work.pop()
+        for g in group.generators:
+            t = g.inverse() * s * g
+            if t not in members:
+                span_gens, members = full_tuple_span(group, span_gens + [t])
+                work.append(t)
+    return span_gens, members
+
+
+def full_tuple_lower_central_orders(group: PermGroup) -> list[int]:
+    """The orders of the lower central series, each term the full-tuple
+    normal closure of the commutators of the last term's generators with
+    the group's generators."""
+    gens, members = group.generators, full_tuple_elements(group)
+    orders = [len(members)]
+    while True:
+        gens, nxt = full_tuple_normal_closure(group, [
+            x.inverse() * g.inverse() * x * g for x in gens for g in group.generators])
+        if len(nxt) == orders[-1]:
+            return orders
+        orders.append(len(nxt))
+        if len(nxt) == 1:
+            return orders

@@ -429,6 +429,32 @@ def test_engel_bound_on_larger_nilpotent_bases(name):
     assert cert["bound_gap"] == expected[3] - expected[4]
 
 
+HEIS3 = "< x, y | x^3, y^3, [x,y]^3, [x,[x,y]], [y,[x,y]] >"
+
+
+def test_engel_bound_on_the_heisenberg_group_mod_3():
+    """X(Heis3) has 19 683 elements of degree 810; its Engel scan runs on
+    their keys on X's two-point base."""
+    x = sidki.build(parse_presentation(HEIS3))
+    assert x.X.order() == 19_683
+    cert = sidki.engel_certificate(x)
+    assert (cert["n"], cert["d"], cert["s"], cert["m"]) == (2, 2, 2, 9)
+    assert cert["minimal_engel_class_of_double"] == 3 and cert["verdict"] is True
+
+
+@pytest.mark.slow
+def test_build_verifies_s5():
+    """S5 past the default guard: not perfect, so the non-perfect branch at
+    scale; its split copy has index 14 400 and |X| = 1 728 000."""
+    pres = parse_presentation("< a, b | a^2, b^5, (a*b)^4, (a*b^-1*a*b)^3 >")
+    x = sidki.build(pres, guard=10 ** 7, raise_on_failure=False)
+    assert x.failed_checks() == []
+    assert "W_central_for_perfect_base" not in {c["name"] for c in x.checks}
+    assert x.X.degree - 3 * x.G.degree == 14_400
+    assert x.orders() == {"G": 120, "X": 1_728_000, "D": 120, "L": 14_400, "W": 2,
+                          "DL": 864_000, "im_rho": 864_000}
+
+
 def test_engel_certificate_scans_the_double_once(realizations, monkeypatch):
     x = realizations["Q8"]
     scanned = []
